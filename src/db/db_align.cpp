@@ -19,6 +19,16 @@ BestLocal best_score(const Sequence& query, const Sequence& frag,
   return sw_best_score_linear(query, frag, scheme);
 }
 
+DbHit make_hit(const Fragment& f, int score, std::size_t end_i,
+               std::size_t end_j) {
+  return DbHit{f.id,
+               f.seq_index,
+               f.begin,
+               score,
+               static_cast<std::uint32_t>(end_i),
+               static_cast<std::uint32_t>(end_j)};
+}
+
 void sort_hits(std::vector<DbHit>& hits) {
   std::sort(hits.begin(), hits.end(), [](const DbHit& a, const DbHit& b) {
     if (a.score != b.score) return a.score > b.score;
@@ -100,15 +110,8 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
   // Certified candidates become hits directly: their score is exact and the
   // scan already dropped certified resolutions below min_score.
   for (const SubjectDb::ScanHit& r : scan.resolved) {
-    const Fragment& f = db.fragments()[r.fragment];
-    DbHit hit;
-    hit.fragment = f.id;
-    hit.seq_index = f.seq_index;
-    hit.begin = f.begin;
-    hit.score = r.score;
-    hit.end_i = r.end_i;
-    hit.end_j = r.end_j;
-    out.hits.push_back(hit);
+    out.hits.push_back(
+        make_hit(db.fragments()[r.fragment], r.score, r.end_i, r.end_j));
   }
 
   std::vector<std::uint64_t> per_node_aligned(
@@ -126,15 +129,8 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
       const BestLocal b = best_score(query, db.fragment_seq(fid), scheme);
       if (b.score < min_score) continue;
       ++out.cascade.dp_confirmed;
-      const Fragment& f = db.fragments()[fid];
-      DbHit hit;
-      hit.fragment = f.id;
-      hit.seq_index = f.seq_index;
-      hit.begin = f.begin;
-      hit.score = b.score;
-      hit.end_i = static_cast<std::uint32_t>(b.end_i);
-      hit.end_j = static_cast<std::uint32_t>(b.end_j);
-      out.hits.push_back(hit);
+      out.hits.push_back(
+          make_hit(db.fragments()[fid], b.score, b.end_i, b.end_j));
     }
   } else if (!filt.survivors.empty() && !query.empty()) {
     const std::size_t m = query.size();
@@ -209,15 +205,10 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
       const std::int32_t score = gathered[k * 3];
       if (score < min_score) continue;
       ++out.cascade.dp_confirmed;
-      const Fragment& f = db.fragments()[work[k].fragment];
-      DbHit hit;
-      hit.fragment = f.id;
-      hit.seq_index = f.seq_index;
-      hit.begin = f.begin;
-      hit.score = score;
-      hit.end_i = static_cast<std::uint32_t>(gathered[k * 3 + 1]);
-      hit.end_j = static_cast<std::uint32_t>(gathered[k * 3 + 2]);
-      out.hits.push_back(hit);
+      out.hits.push_back(make_hit(
+          db.fragments()[work[k].fragment], score,
+          static_cast<std::uint32_t>(gathered[k * 3 + 1]),
+          static_cast<std::uint32_t>(gathered[k * 3 + 2])));
     }
   }
   sort_hits(out.hits);
@@ -239,14 +230,7 @@ std::vector<DbHit> brute_force_hits(const SubjectDb& db, const Sequence& query,
   for (const Fragment& f : db.fragments()) {
     const BestLocal b = best_score(query, db.fragment_seq(f.id), scheme);
     if (b.score < min_score) continue;
-    DbHit hit;
-    hit.fragment = f.id;
-    hit.seq_index = f.seq_index;
-    hit.begin = f.begin;
-    hit.score = b.score;
-    hit.end_i = static_cast<std::uint32_t>(b.end_i);
-    hit.end_j = static_cast<std::uint32_t>(b.end_j);
-    hits.push_back(hit);
+    hits.push_back(make_hit(f, b.score, b.end_i, b.end_j));
   }
   sort_hits(hits);
   return hits;

@@ -233,11 +233,6 @@ void Cluster::finalize_job(Job& job) {
 }
 
 Cluster::Ticket Cluster::submit(std::function<void(Node&)> program) {
-  if (cfg_.load_balancing) {
-    throw std::runtime_error(
-        "DSM: load_balancing is accepted for jia_config parity but not "
-        "implemented in this reproduction (home_migration IS implemented)");
-  }
   const std::scoped_lock guard(jobs_mu_);
   if (stopping_) throw std::logic_error("Cluster: submit during stop()");
   ensure_started_locked();

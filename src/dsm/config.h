@@ -79,16 +79,11 @@ struct DsmConfig {
   int n_locks = 256;
   int n_cvs = 256;
 
-  /// jia_config-style optional features; both default OFF, as JIAJIA sets
-  /// all features at startup.
-  ///
-  /// home_migration: at each barrier, a page written by exactly one node in
-  /// the interval migrates its home to that writer, eliminating its future
-  /// diffs (implemented).
-  /// load_balancing: accepted for API parity only; turning it ON throws at
-  /// run() (computation migration is outside this reproduction's scope).
+  /// jia_config-style home migration, default OFF as JIAJIA sets all
+  /// features at startup: at each barrier, a page written by exactly one
+  /// node in the interval migrates its home to that writer, eliminating its
+  /// future diffs.
   bool home_migration = false;
-  bool load_balancing = false;
 
   /// Reply timeout/retry policy of the nodes (off by default).
   RetryPolicy retry{};

@@ -66,17 +66,11 @@ std::size_t append_diff(std::vector<std::byte>& out, const std::byte* twin,
       ++i;
       continue;
     }
-    // Start of a modified run; extend while differences are close together.
+    // A run holds modified bytes only: an unchanged byte copied from this
+    // node's twin could overwrite a concurrent writer's update at the home
+    // (multiple writers of one page, e.g. false sharing).
     std::size_t end = i + 1;
-    std::size_t same = 0;
-    for (std::size_t k = end; k < n && same < 8; ++k) {
-      if (twin[k] == data[k]) {
-        ++same;
-      } else {
-        end = k + 1;
-        same = 0;
-      }
-    }
+    while (end < n && twin[end] != data[end]) ++end;
     net::append_pod(out, static_cast<std::uint32_t>(i));
     net::append_pod(out, static_cast<std::uint32_t>(end - i));
     out.insert(out.end(), data + i, data + end);

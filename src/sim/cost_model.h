@@ -62,29 +62,18 @@ struct CostModel {
   // the scalar reference (bench/kernels_sw on the dev host; docs/KERNELS.md).
   // The Pentium II calibration above stays the scalar baseline; these scale
   // it so strategy selection sees the machine the run will actually use.
-  double simd_speedup_sse41 = 4.0;
   double simd_speedup_avx2 = 7.0;
-  // Striped (Farrar) query-profile backends (v9): 8-bit saturating lanes
+  // Striped (Farrar) query-profile backend (v9): 8-bit saturating lanes
   // quadruple per-vector parallelism over the 32-bit anti-diagonal sweeps
   // and the sweep has no per-cell bookkeeping (best tracking rides the
-  // lane maxima), so the measured ratios are large.  striped-avx512
-  // measures at parity with striped-avx2 on the Skylake-SP-class dev host
-  // (512-bit integer throughput is port-limited there); the dispatch
-  // still auto-picks striped-avx2 (docs/KERNELS.md "Backend matrix").
-  double simd_speedup_striped_scalar = 7.0;
-  double simd_speedup_striped_sse41 = 49.0;
+  // lane maxima), so the measured ratio is large.
   double simd_speedup_striped_avx2 = 91.0;
-  double simd_speedup_striped_avx512 = 93.0;
 
   /// Speedup of the named backend (the GDSM_KERNEL vocabulary; unknown
   /// names are conservatively scalar).
   double kernel_speedup(std::string_view backend) const {
-    if (backend == "sse41") return simd_speedup_sse41;
     if (backend == "avx2") return simd_speedup_avx2;
-    if (backend == "striped-scalar") return simd_speedup_striped_scalar;
-    if (backend == "striped-sse41") return simd_speedup_striped_sse41;
     if (backend == "striped-avx2") return simd_speedup_striped_avx2;
-    if (backend == "striped-avx512") return simd_speedup_striped_avx512;
     return 1.0;
   }
 
@@ -95,21 +84,19 @@ struct CostModel {
   // linear kernels; the SIMD backends amortize the extra maxima better than
   // the scalar loop does.
   double affine_cell_factor_scalar = 1.9;
-  double affine_cell_factor_sse41 = 1.5;
   double affine_cell_factor_avx2 = 1.5;
   /// Heuristic CellInfo update under affine gaps (bookkeeping dominates, so
   /// the two extra maxima cost proportionally less than in the kernels).
   double affine_cell_factor_heuristic = 1.2;
 
-  /// The striped kernels run the same Gotoh-shaped sweep for both gap
+  /// The striped kernel runs the same Gotoh-shaped sweep for both gap
   /// models (linear gaps are affine with a zero open surcharge), so the
   /// affine surcharge is noise-level there (bench/kernels_sw).
   double affine_cell_factor_striped = 1.0;
 
   /// Affine/linear cell-cost ratio of the named kernel backend.
   double affine_cell_factor(std::string_view backend) const {
-    if (backend.substr(0, 8) == "striped-") return affine_cell_factor_striped;
-    if (backend == "sse41") return affine_cell_factor_sse41;
+    if (backend == "striped-avx2") return affine_cell_factor_striped;
     if (backend == "avx2") return affine_cell_factor_avx2;
     return affine_cell_factor_scalar;
   }

@@ -1,10 +1,10 @@
 // Anti-diagonal strip sweep, templated over a lane engine.
 //
-// Included only by backend translation units that are compiled with the
-// matching ISA flags (kernel_sse41.cpp, kernel_avx2.cpp) — never from
-// generic code.  The engine types (engine_sse41.h / engine_avx2.h) supply
-// the vector width, lane type and the dozen primitive ops; everything about
-// the sweep itself lives here once.
+// Included only by the backend translation unit compiled with the matching
+// ISA flags (kernel_avx2.cpp) — never from generic code.  The engine types
+// (engine_avx2.h) supply the vector width, lane type and the dozen primitive
+// ops; everything about the sweep itself lives here, written once against
+// that engine contract.
 //
 // Strip scheme (the parasail "diag" layout adapted to blocked boundaries):
 // lanes run along `a` in strips of L = E::kLanes; within a strip, step d

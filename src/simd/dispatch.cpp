@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 namespace gdsm::simd {
 namespace {
@@ -24,55 +25,26 @@ struct Entry {
 constexpr Entry kScalarEntry{scalar::block_best, scalar::block_count,
                              scalar::block_hits, scalar::nw_last_row,
                              scalar::nw_last_row_affine};
-// A striped entry swaps in the Farrar block_best and keeps the paired
-// anti-diagonal backend for the four kernels that need boundary feeds or
-// per-cell emission (dispatch.h).
-constexpr Entry kStripedScalarEntry{
-    striped_scalar::block_best, scalar::block_count, scalar::block_hits,
-    scalar::nw_last_row, scalar::nw_last_row_affine};
-#if GDSM_SIMD_SSE41
-constexpr Entry kSse41Entry{sse41::block_best, sse41::block_count,
-                            sse41::block_hits, sse41::nw_last_row,
-                            sse41::nw_last_row_affine};
-constexpr Entry kStripedSse41Entry{
-    striped_sse41::block_best, sse41::block_count, sse41::block_hits,
-    sse41::nw_last_row, sse41::nw_last_row_affine};
-#endif
 #if GDSM_SIMD_AVX2
 constexpr Entry kAvx2Entry{avx2::block_best, avx2::block_count,
                            avx2::block_hits, avx2::nw_last_row,
                            avx2::nw_last_row_affine};
+// striped-avx2 swaps in the Farrar block_best and keeps the anti-diagonal
+// avx2 kernels for the four that need boundary feeds or per-cell emission
+// (dispatch.h).
 constexpr Entry kStripedAvx2Entry{
     striped_avx2::block_best, avx2::block_count, avx2::block_hits,
-    avx2::nw_last_row, avx2::nw_last_row_affine};
-#endif
-#if GDSM_SIMD_AVX512
-// AVX-512's anti-diagonal twin is AVX2: the widest full-contract backend.
-constexpr Entry kStripedAvx512Entry{
-    striped_avx512::block_best, avx2::block_count, avx2::block_hits,
     avx2::nw_last_row, avx2::nw_last_row_affine};
 #endif
 
 const Entry& entry_for(Backend b) {
   switch (b) {
-#if GDSM_SIMD_SSE41
-    case Backend::kSse41:
-      return kSse41Entry;
-    case Backend::kStripedSse41:
-      return kStripedSse41Entry;
-#endif
 #if GDSM_SIMD_AVX2
     case Backend::kAvx2:
       return kAvx2Entry;
     case Backend::kStripedAvx2:
       return kStripedAvx2Entry;
 #endif
-#if GDSM_SIMD_AVX512
-    case Backend::kStripedAvx512:
-      return kStripedAvx512Entry;
-#endif
-    case Backend::kStripedScalar:
-      return kStripedScalarEntry;
     default:
       return kScalarEntry;
   }
@@ -81,57 +53,41 @@ const Entry& entry_for(Backend b) {
 bool cpu_supports(Backend b) {
   switch (b) {
     case Backend::kScalar:
-    case Backend::kStripedScalar:
       return true;
-#if GDSM_SIMD_SSE41
-    case Backend::kSse41:
-    case Backend::kStripedSse41:
-      return __builtin_cpu_supports("sse4.1") != 0;
-#endif
 #if GDSM_SIMD_AVX2
     case Backend::kAvx2:
     case Backend::kStripedAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-#endif
-#if GDSM_SIMD_AVX512
-    case Backend::kStripedAvx512:
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0;
 #endif
     default:
       return false;
   }
 }
 
-bool parse_name(std::string_view name, Backend* out) {
-  if (name == "scalar") return *out = Backend::kScalar, true;
-  if (name == "sse41") return *out = Backend::kSse41, true;
-  if (name == "avx2") return *out = Backend::kAvx2, true;
-  if (name == "striped-scalar") return *out = Backend::kStripedScalar, true;
-  if (name == "striped-sse41") return *out = Backend::kStripedSse41, true;
-  if (name == "striped-avx2") return *out = Backend::kStripedAvx2, true;
-  if (name == "striped-avx512") return *out = Backend::kStripedAvx512, true;
-  return false;
-}
+// The GDSM_KERNEL vocabulary, indexed by Backend.
+constexpr const char* kNames[] = {"scalar", "avx2", "striped-avx2"};
 
-Backend widest_available() {
-  Backend best = Backend::kScalar;
-  for (Backend b : available_backends()) best = b;  // widest last
-  return best;
+bool parse_name(std::string_view name, Backend* out) {
+  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+    if (name == kNames[i]) {
+      *out = static_cast<Backend>(i);
+      return true;
+    }
+  }
+  return false;
 }
 
 // The resolved choice.  Initialization (first access) applies GDSM_KERNEL;
 // force_backend overwrites it afterwards.
 std::atomic<Backend>& active_slot() {
   static std::atomic<Backend> slot = [] {
-    Backend pick = widest_available();
+    Backend pick = available_backends().back();
     if (const char* env = std::getenv("GDSM_KERNEL"); env != nullptr) {
       Backend want;
       if (!parse_name(env, &want)) {
         std::fprintf(stderr,
-                     "gdsm: GDSM_KERNEL=%s unknown (scalar|sse41|avx2|"
-                     "striped-scalar|striped-sse41|striped-avx2|"
-                     "striped-avx512), using %s\n",
+                     "gdsm: GDSM_KERNEL=%s unknown "
+                     "(scalar|avx2|striped-avx2), using %s\n",
                      env, backend_name(pick));
       } else if (!cpu_supports(want)) {
         std::fprintf(stderr,
@@ -194,54 +150,18 @@ void reset(AtomicCounters& c) {
 }  // namespace
 
 const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kSse41:
-      return "sse41";
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kStripedScalar:
-      return "striped-scalar";
-    case Backend::kStripedSse41:
-      return "striped-sse41";
-    case Backend::kStripedAvx2:
-      return "striped-avx2";
-    case Backend::kStripedAvx512:
-      return "striped-avx512";
-    default:
-      return "scalar";
-  }
+  const auto i = static_cast<std::size_t>(b);
+  return i < std::size(kNames) ? kNames[i] : "scalar";
 }
 
 std::vector<Backend> available_backends() {
-  // Preferred last (the auto pick): each striped backend outranks its paired
-  // anti-diagonal backend on the score-only hot path, and off x86 the plain
-  // scalar anti-diagonal kernel stays the default.  striped-avx512 ranks
-  // BELOW striped-avx2 deliberately: on the Skylake-SP-class parts this
-  // project targets, 512-bit integer ops run on fewer ports and trigger
-  // frequency licensing, and measured GCUPS comes out at parity with the
-  // AVX2 striped kernel (within run-to-run noise; docs/KERNELS.md "Backend
-  // matrix") — not enough to buy the license-induced downclocking the wider
-  // vectors impose on real silicon under mixed load.  It stays available
-  // for explicit GDSM_KERNEL=striped-avx512 forcing on hosts where 512-bit
-  // execution is known full-rate.
-  std::vector<Backend> out{Backend::kStripedScalar, Backend::kScalar};
-#if GDSM_SIMD_SSE41
-  if (cpu_supports(Backend::kSse41)) {
-    out.push_back(Backend::kSse41);
-    out.push_back(Backend::kStripedSse41);
-  }
-#endif
-#if GDSM_SIMD_AVX512
-  if (cpu_supports(Backend::kStripedAvx512)) {
-    out.push_back(Backend::kStripedAvx512);
-  }
-#endif
-#if GDSM_SIMD_AVX2
+  // Preferred last (the auto pick): striped-avx2 outranks the anti-diagonal
+  // avx2 kernel on the score-only hot path; without AVX2 only scalar runs.
+  std::vector<Backend> out{Backend::kScalar};
   if (cpu_supports(Backend::kAvx2)) {
     out.push_back(Backend::kAvx2);
     out.push_back(Backend::kStripedAvx2);
   }
-#endif
   return out;
 }
 

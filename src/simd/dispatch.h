@@ -6,21 +6,17 @@
 // free functions below; they never name a backend.  Selection happens once,
 // on first use:
 //
-//   1. compiled-in candidates: scalar + striped-scalar always; sse41/avx2
-//      and their striped twins on x86 builds; striped-avx512 when the
-//      toolchain accepted the AVX-512BW flags
+//   1. compiled-in candidates: scalar always; avx2 and striped-avx2 on x86
+//      builds
 //   2. CPUID (__builtin_cpu_supports) drops what the host can't run
-//   3. the preferred survivor wins (striped-avx2 when available; see
-//      available_backends on why AVX-512 isn't auto-picked) — unless
-//      GDSM_KERNEL=
-//      scalar|sse41|avx2|striped-scalar|striped-sse41|striped-avx2|
-//      striped-avx512 forces one (an unavailable or unknown name warns once
-//      on stderr and falls back to the auto pick, it never aborts a run)
+//   3. the preferred survivor wins (striped-avx2 when the host has AVX2,
+//      scalar otherwise) — unless GDSM_KERNEL=scalar|avx2|striped-avx2
+//      forces one (an unavailable or unknown name warns once on stderr and
+//      falls back to the auto pick, it never aborts a run)
 //
-// The striped backends (striped.h) replace only block_best — the one
-// score-only kernel — with the Farrar query-profile sweep; the other four
-// kernels of a striped entry delegate to the paired anti-diagonal backend,
-// so forcing a striped backend is always total.
+// striped-avx2 (striped.h) replaces only block_best — the one score-only
+// kernel — with the Farrar query-profile sweep; the other four kernels of
+// its entry are the anti-diagonal avx2 ones, so forcing it is always total.
 //
 // tests and benches re-pin the choice with force_backend(); docs/KERNELS.md
 // has the full backend matrix and the 16/32-bit width-routing rules.
@@ -37,23 +33,16 @@ namespace gdsm::simd {
 
 enum class Backend : int {
   kScalar = 0,
-  kSse41 = 1,
-  kAvx2 = 2,
-  kStripedScalar = 3,
-  kStripedSse41 = 4,
-  kStripedAvx2 = 5,
-  kStripedAvx512 = 6,
+  kAvx2 = 1,
+  kStripedAvx2 = 2,
 };
 
-/// Stable lower-case name ("scalar", "sse41", "avx2", "striped-scalar",
-/// "striped-sse41", "striped-avx2", "striped-avx512") — the GDSM_KERNEL
-/// vocabulary, also what reports and NodeStats carry.
+/// Stable lower-case name ("scalar", "avx2", "striped-avx2") — the
+/// GDSM_KERNEL vocabulary, also what reports and NodeStats carry.
 const char* backend_name(Backend b);
 
 /// Backends compiled into this binary *and* runnable on this CPU, preferred
-/// (auto-pick) last.  Always contains kScalar.  striped-avx512 deliberately
-/// ranks below striped-avx2 (512-bit frequency licensing on the target
-/// parts; see dispatch.cpp); force it explicitly on full-rate hosts.
+/// (auto-pick) last.  Always contains kScalar.
 std::vector<Backend> available_backends();
 
 /// The backend the free functions currently dispatch to.

@@ -213,18 +213,3 @@ void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
 }
 
 }  // namespace gdsm::simd::scalar
-
-// The striped-scalar backend: the portable reference instantiation of the
-// striped sweep (fixed-size lane arrays the compiler auto-vectorizes), with
-// the scalar anti-diagonal backend as its wide fallback.
-#include "simd/striped_kernel_inl.h"
-
-namespace gdsm::simd::striped_scalar {
-
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp) {
-  return detail::striped_block_best_impl<detail::StripedScalar8,
-                                         detail::StripedScalar16>(
-      blk, sp, &scalar::block_best);
-}
-
-}  // namespace gdsm::simd::striped_scalar

@@ -24,10 +24,10 @@
 // row-major can make the kernel reproduce its scalar tie-breaks exactly by
 // putting rows on `b`.
 //
-// The vector backends sweep anti-diagonals in strips of kLanes cells along
+// The AVX2 backend sweeps anti-diagonals in strips of kLanes cells along
 // `a` (the parasail "diag" scheme adapted to blocked boundaries): lane l of
-// step d holds v(a0 + l, d - l).  They use saturating 16-bit lanes when a
-// proven upper bound on any reachable cell value fits, and fall back to
+// step d holds v(a0 + l, d - l).  It uses saturating 16-bit lanes when a
+// proven upper bound on any reachable cell value fits, and falls back to
 // 32-bit lanes otherwise — see docs/KERNELS.md for the routing rule.
 #pragma once
 
@@ -102,8 +102,8 @@ struct BestCell {
 using HitSink = std::function<void(std::size_t, std::size_t, std::int32_t)>;
 
 // Per-backend entry points.  Identical observable behaviour — the
-// differential suite in tests/simd_kernel_test.cpp holds every compiled
-// backend to the scalar reference, including tie-breaks.
+// differential suite in tests/simd_kernel_test.cpp holds the AVX2 backend
+// to the scalar reference, including tie-breaks.
 //
 //   block_best   best positive cell (plus the optional edge outputs)
 //   block_count  per-a-index counts of cells with v >= threshold
@@ -137,23 +137,6 @@ void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
                         std::int32_t tb_open, std::int32_t* out_h,
                         std::int32_t* out_e);
 }  // namespace scalar
-
-#if GDSM_SIMD_SSE41
-namespace sse41 {
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
-void block_count(const DiagBlock& blk, const ScoreParams& sp,
-                 std::int32_t threshold, std::uint64_t* count_by_a);
-void block_hits(const DiagBlock& blk, const ScoreParams& sp,
-                std::int32_t threshold, const HitSink& sink);
-void nw_last_row(const Base* a_seq, std::size_t a_len, const Base* b_seq,
-                 std::size_t b_len, const ScoreParams& sp,
-                 std::int32_t* out_by_a);
-void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
-                        std::size_t b_len, const ScoreParams& sp,
-                        std::int32_t tb_open, std::int32_t* out_h,
-                        std::int32_t* out_e);
-}  // namespace sse41
-#endif
 
 #if GDSM_SIMD_AVX2
 namespace avx2 {

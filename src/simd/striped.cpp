@@ -33,18 +33,14 @@ inline int biased_sub(Base qc, Base dc, const ScoreParams& sp, int bias) {
   return ((qc == dc && qc != kBaseN) ? sp.match : sp.mismatch) + bias;
 }
 
-/// Cache key: exact query bytes + the four score params + lane geometry.
-/// Lane geometry matters because segment length (hence layout) depends on
-/// it; scalar and SSE4.1 share a geometry and therefore share entries.
+/// Cache key: exact query bytes + the four score params.
 struct CacheKey {
   std::string query;
   int match, mismatch, gap, gap_open;
-  int lanes8, lanes16;
 
   bool operator==(const CacheKey& o) const {
     return match == o.match && mismatch == o.mismatch && gap == o.gap &&
-           gap_open == o.gap_open && lanes8 == o.lanes8 &&
-           lanes16 == o.lanes16 && query == o.query;
+           gap_open == o.gap_open && query == o.query;
   }
 };
 
@@ -63,8 +59,7 @@ ProfileCache& profile_cache() {
 }
 
 std::shared_ptr<const detail::QueryProfile> build_profile(
-    const Base* q, std::size_t m, const ScoreParams& sp, int lanes8,
-    int lanes16) {
+    const Base* q, std::size_t m, const ScoreParams& sp) {
   auto prof = std::make_shared<detail::QueryProfile>();
   prof->m = m;
   prof->bias = std::max({0, -sp.match, -sp.mismatch});
@@ -100,32 +95,14 @@ std::shared_ptr<const detail::QueryProfile> build_profile(
     }
   };
   if (prof->fit8) {
-    prof->seg8 = (m + static_cast<std::size_t>(lanes8) - 1) /
-                 static_cast<std::size_t>(lanes8);
-    fill(prof->prof8, prof->seg8, lanes8);
+    prof->seg8 = (m + detail::kStripedLanes8 - 1) / detail::kStripedLanes8;
+    fill(prof->prof8, prof->seg8, detail::kStripedLanes8);
   }
   if (prof->fit16) {
-    prof->seg16 = (m + static_cast<std::size_t>(lanes16) - 1) /
-                  static_cast<std::size_t>(lanes16);
-    fill(prof->prof16, prof->seg16, lanes16);
+    prof->seg16 = (m + detail::kStripedLanes16 - 1) / detail::kStripedLanes16;
+    fill(prof->prof16, prof->seg16, detail::kStripedLanes16);
   }
   return prof;
-}
-
-/// Lane geometry of the active striped backend, or {0,0} when the active
-/// backend has no striped path (then warm_query_profile is a no-op).
-std::pair<int, int> active_lane_geometry() {
-  switch (active_backend()) {
-    case Backend::kStripedScalar:
-    case Backend::kStripedSse41:
-      return {16, 8};
-    case Backend::kStripedAvx2:
-      return {32, 16};
-    case Backend::kStripedAvx512:
-      return {64, 32};
-    default:
-      return {0, 0};
-  }
 }
 
 }  // namespace
@@ -159,9 +136,10 @@ void reset_striped_counters() {
 
 void warm_query_profile(const Base* q, std::size_t len,
                         const ScoreParams& sp) {
-  const auto [lanes8, lanes16] = active_lane_geometry();
-  if (lanes8 == 0 || q == nullptr || len == 0) return;
-  (void)detail::striped_profile(q, len, sp, lanes8, lanes16);
+  if (active_backend() != Backend::kStripedAvx2 || q == nullptr || len == 0) {
+    return;
+  }
+  (void)detail::striped_profile(q, len, sp);
 }
 
 void clear_query_profile_cache() {
@@ -174,8 +152,7 @@ namespace detail {
 
 std::shared_ptr<const QueryProfile> striped_profile(const Base* q,
                                                     std::size_t m,
-                                                    const ScoreParams& sp,
-                                                    int lanes8, int lanes16) {
+                                                    const ScoreParams& sp) {
   if (q == nullptr || m == 0) return nullptr;
   for (std::size_t i = 0; i < m; ++i) {
     if (q[i] >= kAlphabetSize) return nullptr;
@@ -184,9 +161,7 @@ std::shared_ptr<const QueryProfile> striped_profile(const Base* q,
                sp.match,
                sp.mismatch,
                sp.gap,
-               sp.gap_open,
-               lanes8,
-               lanes16};
+               sp.gap_open};
   ProfileCache& cache = profile_cache();
   {
     std::lock_guard<std::mutex> lock(cache.mu);
@@ -200,8 +175,7 @@ std::shared_ptr<const QueryProfile> striped_profile(const Base* q,
   }
   // Build outside the lock: profile construction is O(alphabet * m) and
   // concurrent same-key builds are benign (last insert wins).
-  std::shared_ptr<const QueryProfile> prof =
-      build_profile(q, m, sp, lanes8, lanes16);
+  std::shared_ptr<const QueryProfile> prof = build_profile(q, m, sp);
   g_striped.profile_builds.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(cache.mu);

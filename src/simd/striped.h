@@ -1,8 +1,8 @@
-// Striped (Farrar-layout) query-profile kernels for the score-only hot
+// Striped (Farrar-layout) query-profile kernel for the score-only hot
 // paths.
 //
 // The anti-diagonal backends (kernels.h) recompute substitution scores from
-// the two characters of every cell.  The striped family instead precomputes
+// the two characters of every cell.  striped-avx2 instead precomputes
 // a per-query *profile* — for every alphabet character, the substitution
 // scores of the whole query laid out in Farrar's striped vector order — and
 // sweeps subject characters one column at a time.  Query position
@@ -20,13 +20,13 @@
 //   16-bit  unsigned saturating lanes, same biased layout, entered only
 //           when a proven value bound shows no lane can reach 65535 —
 //           PR 4's routing rule applied to the unsigned domain.
-//   32-bit  anything wider delegates to the paired anti-diagonal backend,
+//   32-bit  anything wider delegates to the anti-diagonal AVX2 backend,
 //           whose own 16/32-bit routing is already release-gated.
 //
 // Only fresh score-only blocks take the striped path (no boundary feeds, no
 // edge outputs — exactly the sw_best_score_linear / db_align shard-scan
-// shape); everything else delegates to the paired anti-diagonal backend, so
-// a striped backend is always safe to force process-wide via GDSM_KERNEL=.
+// shape); everything else delegates to the anti-diagonal AVX2 backend, so
+// striped-avx2 is always safe to force process-wide via GDSM_KERNEL=.
 #pragma once
 
 #include <cstddef>
@@ -57,16 +57,22 @@ StripedCounters striped_counters();
 void reset_striped_counters();
 
 /// Pre-builds (or refreshes the cache slot of) the striped profile for
-/// `q[0..len)` under `sp`, keyed by (query bytes, params, lane geometry of
-/// the active backend).  A no-op unless a striped backend is active.  The
-/// service calls this once per admitted database query so every shard scan
-/// of the batch hits the cache (docs/SERVICE.md).
+/// `q[0..len)` under `sp`, keyed by (query bytes, params).  A no-op unless
+/// striped-avx2 is active.  The service calls this once per admitted
+/// database query so every shard scan of the batch hits the cache
+/// (docs/SERVICE.md).
 void warm_query_profile(const Base* q, std::size_t len, const ScoreParams& sp);
 
 /// Drops every cached profile (tests; isolates cache-counter assertions).
 void clear_query_profile_cache();
 
 namespace detail {
+
+/// Lanes per 256-bit vector at 8 and 16 bits: the striped-avx2 engine
+/// geometry (StripedAvx8 / StripedAvx16 in engine_avx2.h), which fixes the
+/// segment length of every cached profile.
+inline constexpr int kStripedLanes8 = 32;
+inline constexpr int kStripedLanes16 = 16;
 
 /// One query's precomputed striped profiles, both precisions, immutable
 /// after build and shared via the cache.  `prof8`/`prof16` are
@@ -88,8 +94,7 @@ struct QueryProfile {
 /// contains out-of-alphabet characters (callers must then delegate).
 std::shared_ptr<const QueryProfile> striped_profile(const Base* q,
                                                     std::size_t m,
-                                                    const ScoreParams& sp,
-                                                    int lanes8, int lanes16);
+                                                    const ScoreParams& sp);
 
 // Counter bumps used by the sweep wrappers (atomics live in striped.cpp).
 void note_sweep8(std::uint64_t cells);
@@ -100,29 +105,13 @@ void note_delegated();
 
 }  // namespace detail
 
-// Per-backend striped entry points.  Only block_best has a striped form —
-// the other kernels of the dispatch table (counts, hit scans, NW last-row
-// passes) need boundary feeds or per-cell emission and stay on the paired
-// anti-diagonal backend.  Each function is a total implementation of the
-// kernels.h block_best contract: ineligible blocks delegate internally.
-namespace striped_scalar {
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
-}
-
-#if GDSM_SIMD_SSE41
-namespace striped_sse41 {
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
-}
-#endif
-
+// The striped entry point.  Only block_best has a striped form — the other
+// kernels of the dispatch table (counts, hit scans, NW last-row passes) need
+// boundary feeds or per-cell emission and stay on the anti-diagonal AVX2
+// backend.  It is a total implementation of the kernels.h block_best
+// contract: ineligible blocks delegate internally.
 #if GDSM_SIMD_AVX2
 namespace striped_avx2 {
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
-}
-#endif
-
-#if GDSM_SIMD_AVX512
-namespace striped_avx512 {
 BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
 }
 #endif

@@ -1,7 +1,7 @@
 // The shared striped (Farrar) local-alignment sweep, templated over a lane
 // engine, plus the per-block precision ladder that instantiates it at 8 and
-// 16 bits.  Included only by the per-backend kernel translation units (each
-// compiled with its own ISA flags); everything here is inline/templated.
+// 16 bits.  Included only by kernel_avx2.cpp (compiled with -mavx2);
+// everything here is inline/templated.
 //
 // Engine contract (all lanes unsigned, saturating):
 //   V        vector register type
@@ -215,7 +215,7 @@ inline StripedSweepOut striped_local_sweep(const Base* b_seq, std::size_t n,
 /// The adaptive ladder for one fresh block: 8-bit sweep with overflow
 /// detection, 16-bit re-run under the proven bound, anti-diagonal delegation
 /// beyond that (whose own 16/32-bit routing takes over).  `wide` is the
-/// paired anti-diagonal backend's block_best.
+/// anti-diagonal avx2 block_best.
 template <class E8, class E16>
 inline BestCell striped_block_best_impl(
     const DiagBlock& blk, const ScoreParams& sp,
@@ -226,8 +226,11 @@ inline BestCell striped_block_best_impl(
   }
   const std::size_t m = blk.a_len;
   const std::size_t n = blk.b_len;
+  static_assert(E8::kLanes == kStripedLanes8 &&
+                    E16::kLanes == kStripedLanes16,
+                "cached profiles are laid out for the striped-avx2 geometry");
   const std::shared_ptr<const QueryProfile> prof =
-      striped_profile(blk.a_seq, m, sp, E8::kLanes, E16::kLanes);
+      striped_profile(blk.a_seq, m, sp);
   if (prof == nullptr || (!prof->fit8 && !prof->fit16)) {
     note_delegated();
     return wide(blk, sp);
@@ -252,80 +255,5 @@ inline BestCell striped_block_best_impl(
   note_fallback32();
   return wide(blk, sp);
 }
-
-// ---------------------------------------------------------------------------
-// Portable striped engines: the striped-scalar reference backend, plain C++
-// over fixed-size lane arrays (the SSE4.1 lane geometry, so scalar and
-// sse41 share cached profiles).  Compilers auto-vectorize these on any ISA.
-
-template <class WordT, int N>
-struct StripedScalarEngine {
-  struct V {
-    WordT l[N];
-  };
-  using Word = WordT;
-  static constexpr int kLanes = N;
-  static constexpr int kWordMax = (1 << (8 * sizeof(WordT))) - 1;
-
-  static V zero() { return V{}; }
-  static V set1(int x) {
-    V v;
-    for (int i = 0; i < N; ++i) v.l[i] = static_cast<WordT>(x);
-    return v;
-  }
-  static V loadu(const void* p) {
-    V v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-  }
-  static void storeu(void* p, V v) { std::memcpy(p, &v, sizeof v); }
-  static V adds(V a, V b) {
-    V r;
-    for (int i = 0; i < N; ++i) {
-      const int t = static_cast<int>(a.l[i]) + static_cast<int>(b.l[i]);
-      r.l[i] = static_cast<WordT>(t > kWordMax ? kWordMax : t);
-    }
-    return r;
-  }
-  static V subs(V a, V b) {
-    V r;
-    for (int i = 0; i < N; ++i) {
-      const int t = static_cast<int>(a.l[i]) - static_cast<int>(b.l[i]);
-      r.l[i] = static_cast<WordT>(t < 0 ? 0 : t);
-    }
-    return r;
-  }
-  static V maxv(V a, V b) {
-    V r;
-    for (int i = 0; i < N; ++i) r.l[i] = std::max(a.l[i], b.l[i]);
-    return r;
-  }
-  static V shift1(V v) {
-    V r;
-    r.l[0] = 0;
-    for (int i = 1; i < N; ++i) r.l[i] = v.l[i - 1];
-    return r;
-  }
-  static bool any_gt(V a, V b) {
-    for (int i = 0; i < N; ++i) {
-      if (a.l[i] > b.l[i]) return true;
-    }
-    return false;
-  }
-  static bool any_ne(V a, V b) {
-    for (int i = 0; i < N; ++i) {
-      if (a.l[i] != b.l[i]) return true;
-    }
-    return false;
-  }
-  static int hmax(V v) {
-    int best = 0;
-    for (int i = 0; i < N; ++i) best = std::max(best, static_cast<int>(v.l[i]));
-    return best;
-  }
-};
-
-using StripedScalar8 = StripedScalarEngine<std::uint8_t, 16>;
-using StripedScalar16 = StripedScalarEngine<std::uint16_t, 8>;
 
 }  // namespace gdsm::simd::detail

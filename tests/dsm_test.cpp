@@ -279,13 +279,6 @@ TEST(Cluster, StatsAccountProtocolActivity) {
   EXPECT_GT(stats.total_traffic().total_messages(), 0u);
 }
 
-TEST(Cluster, UnimplementedJiaConfigOptionsThrow) {
-  DsmConfig cfg;
-  cfg.load_balancing = true;
-  Cluster cluster(2, cfg);
-  EXPECT_THROW(cluster.run([](Node&) {}), std::runtime_error);
-}
-
 TEST(HomeMigration, SingleWriterPageMigrates) {
   DsmConfig cfg;
   cfg.home_migration = true;

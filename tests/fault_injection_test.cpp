@@ -304,25 +304,18 @@ TEST(FaultInjectionTest, OracleMatchesUnderEveryPlanWithBatchingOnAndOff) {
 }
 
 TEST(ClusterFailureTest, SingleNodeFailureRethrowsOriginalType) {
+  // Both backends rethrow the original type and message: a child process
+  // ships a typed failure tag with the message, and the parent rebuilds the
+  // exception from it.
   dsm::Cluster cluster(3);
-  if (cluster.config().backend == dsm::Backend::kThreads) {
-    EXPECT_THROW(cluster.run([](dsm::Node& node) {
-                   if (node.id() == 1) throw std::invalid_argument("just me");
-                 }),
-                 std::invalid_argument);
-  } else {
-    // A child process can only ship the message across the socket, not the
-    // exception object; the type degrades to runtime_error but the
-    // diagnostic must survive.
-    try {
-      cluster.run([](dsm::Node& node) {
-        if (node.id() == 1) throw std::invalid_argument("just me");
-      });
-      FAIL() << "run() should have thrown";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("just me"), std::string::npos)
-          << e.what();
-    }
+  try {
+    cluster.run([](dsm::Node& node) {
+      if (node.id() == 1) throw std::invalid_argument("just me");
+    });
+    FAIL() << "run() should have thrown";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("just me"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -117,8 +117,8 @@ TEST(Scheduler, PricesExactWorkWithThePerBackendCellCost) {
   EXPECT_DOUBLE_EQ(cm.plain_cell_s("scalar"), cm.cell_s_plain);
   EXPECT_DOUBLE_EQ(cm.plain_cell_s("avx2"),
                    cm.cell_s_plain / cm.simd_speedup_avx2);
-  EXPECT_DOUBLE_EQ(cm.nw_cell_s("sse41"),
-                   cm.cell_s_nw / cm.simd_speedup_sse41);
+  EXPECT_DOUBLE_EQ(cm.nw_cell_s("avx2"),
+                   cm.cell_s_nw / cm.simd_speedup_avx2);
   // Unknown names price conservatively at the scalar rate.
   EXPECT_DOUBLE_EQ(cm.plain_cell_s("altivec"), cm.cell_s_plain);
 }

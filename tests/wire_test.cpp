@@ -73,7 +73,7 @@ TEST(WireMessage, RoundTripsPartialPageDiffPayload) {
   std::mt19937 rng(7);
   std::vector<std::byte> twin = random_payload(rng, 4096);
   std::vector<std::byte> page = twin;
-  for (const std::size_t off : {13u, 900u, 901u, 2048u, 4090u}) {
+  for (const std::size_t off : {13u, 900u, 901u, 904u, 2048u, 4090u}) {
     page[off] = static_cast<std::byte>(~std::to_integer<unsigned>(page[off]));
   }
   Message m = random_message(rng, MsgType::kDiff, 0);
@@ -88,6 +88,15 @@ TEST(WireMessage, RoundTripsPartialPageDiffPayload) {
   std::vector<std::byte> rebuilt = twin;
   dsm::wire::apply_diff(rebuilt.data(), rebuilt.size(), back.payload);
   EXPECT_EQ(rebuilt, page);
+
+  // The diff carries modified bytes only, so applying it at the home keeps
+  // a concurrent writer's update to byte 902, between two modified runs.
+  std::vector<std::byte> home = twin;
+  home[902] = static_cast<std::byte>(~std::to_integer<unsigned>(home[902]));
+  std::vector<std::byte> want = page;
+  want[902] = home[902];
+  dsm::wire::apply_diff(home.data(), home.size(), back.payload);
+  EXPECT_EQ(home, want);
 }
 
 TEST(WireMessage, RoundTripsDiffBatchAndPagesDataPayloads) {

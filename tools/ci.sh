@@ -12,11 +12,9 @@
 #   2. configure + build (Release, build/)
 #   3. ctest -L tier1          -- the correctness gate (see ROADMAP.md)
 #   4. kernel dispatch         -- tier1 re-run once per SIMD backend this
-#                                 host supports (GDSM_KERNEL=scalar|sse41|
-#                                 avx2 plus the striped-* query-profile
-#                                 family; docs/KERNELS.md).  striped-avx512
-#                                 is skipped with a notice on hosts without
-#                                 AVX-512BW
+#                                 host supports besides the auto pick
+#                                 (GDSM_KERNEL=scalar|avx2 next to the
+#                                 default striped-avx2; docs/KERNELS.md)
 #   5. affine dispatch         -- oracle-verified --gap=affine service run
 #                                 once per backend (docs/ALGORITHMS.md)
 #   6. comm ablation           -- the DSM suites re-run once per data-plane
@@ -48,9 +46,13 @@
 #                                 GDSM_DB_BOUND=scalar rerun covering the
 #                                 scalar bound fallback
 #                                 (docs/SERVICE.md "Cascade")
-#  13. (--tsan) TSan build + the dsm/fault/oracle/service/db suites raced
+#  13. perfbench selftest      -- builds the serving benchmark from src/ and
+#                                 checks its oracle gate passes an honest
+#                                 run and catches a corrupted answer
+#                                 (perfbench/README.md)
+#  14. (--tsan) TSan build + the dsm/fault/oracle/service/db suites raced
 #      under ThreadSanitizer (admission must stay deadlock-free; the preset
-#      builds the same SSE4.1/AVX2 kernel objects as the Release build;
+#      builds the same AVX2 kernel objects as the Release build;
 #      the process backend is exercised by stage 7, not here -- TSan does
 #      not follow children across fork)
 set -euo pipefail
@@ -105,13 +107,7 @@ ctest --test-dir build -L tier1 --output-on-failure -j "$JOBS"
 # gate with dispatch pinned to every other backend this host can run, so the
 # scalar reference and each vector path stay release-gated even on AVX2 hosts.
 ACTIVE_BACKEND="$(build/tools/kernel_info --active)"
-AVAILABLE_BACKENDS="$(build/tools/kernel_info)"
-case " $(echo $AVAILABLE_BACKENDS) " in
-  *" striped-avx512 "*) : ;;
-  *) echo "==> notice: striped-avx512 unavailable on this build/CPU" \
-         "(needs AVX-512F+BW); skipping its tier1 forcing" ;;
-esac
-for backend in $AVAILABLE_BACKENDS; do
+for backend in $(build/tools/kernel_info); do
   [ "$backend" = "$ACTIVE_BACKEND" ] && continue
   echo "==> ctest -L tier1 (GDSM_KERNEL=$backend)"
   GDSM_KERNEL="$backend" ctest --test-dir build -L tier1 \
@@ -205,6 +201,11 @@ build-asan/tests/db_cascade_test --gtest_brief=1
 # the only coverage of the scalar per-fragment fallback the batch path
 # shadows (bound_batch.h), and the two must reject/accept identically.
 GDSM_DB_BOUND=scalar build/tests/db_cascade_test --gtest_brief=1
+
+# The serving benchmark builds its own copy of src/ (.bench_build/), so a
+# src/ change that breaks the harness build or its oracle gate fails here.
+echo "==> perfbench selftest"
+python3 perfbench/selftest.py
 
 if [ "$RUN_TSAN" -eq 1 ]; then
   echo "==> TSan build + concurrency suites"
