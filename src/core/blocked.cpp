@@ -55,13 +55,15 @@ StrategyResult blocked_align(const Sequence& s, const Sequence& t,
 
   // Bottom-row boundary of every band, homed at the band's owner so the
   // producer writes locally and the consumer page-faults it in per block.
+  // Job scratch: the pages go back to the cluster's pool after the job.
+  dsm::Scratch scratch = cluster.scratch();
   std::vector<dsm::SharedArray<CellInfo>> boundary;
   boundary.reserve(B);
   for (std::size_t b = 0; b < B; ++b) {
     boundary.emplace_back(
-        cluster.alloc(n * sizeof(CellInfo), grid.band_owner(b, P)), n);
+        scratch.alloc(n * sizeof(CellInfo), grid.band_owner(b, P)), n);
   }
-  const CandidateGather gather(cluster, P, cfg.max_candidates_per_node);
+  const CandidateGather gather(scratch, P, cfg.max_candidates_per_node);
 
   const HeuristicKernel kernel(cfg.scheme, cfg.params);
   std::atomic<bool> overflow{false};
@@ -111,7 +113,7 @@ StrategyResult blocked_align(const Sequence& s, const Sequence& t,
     if (!gather.publish(node, local)) overflow.store(true);
     node.barrier();
     if (p == 0) merged = gather.collect(node);
-  });
+  }, std::move(scratch));
 
   result.dsm_stats = cluster.await(ticket);
   result.candidates = std::move(merged);

@@ -16,16 +16,17 @@ namespace gdsm::core {
 
 class CandidateGather {
  public:
-  /// Must be constructed before Cluster::run (it allocates shared memory).
-  CandidateGather(dsm::Cluster& cluster, int nprocs, std::size_t capacity)
+  /// Must be constructed before the job is submitted; its buffers are the
+  /// job's scratch.
+  CandidateGather(dsm::Scratch& scratch, int nprocs, std::size_t capacity)
       : capacity_(capacity) {
     counts_ = dsm::SharedArray<std::uint64_t>(
-        cluster.alloc(static_cast<std::size_t>(nprocs) * sizeof(std::uint64_t),
+        scratch.alloc(static_cast<std::size_t>(nprocs) * sizeof(std::uint64_t),
                       /*home=*/0),
         static_cast<std::size_t>(nprocs));
     buffers_.reserve(static_cast<std::size_t>(nprocs));
     for (int p = 0; p < nprocs; ++p) {
-      buffers_.emplace_back(cluster.alloc(capacity * sizeof(Candidate), p),
+      buffers_.emplace_back(scratch.alloc(capacity * sizeof(Candidate), p),
                             capacity);
     }
   }

@@ -50,11 +50,13 @@ StrategyResult wavefront_align(const Sequence& s, const Sequence& t,
   dsm::Cluster& cluster = *cl;
 
   // One border slot per processor pair, each on its own page homed at the
-  // writer so publishing the cell is a local write.
+  // writer so publishing the cell is a local write.  All of this call's
+  // global buffers are job scratch, pooled again after the job.
+  dsm::Scratch scratch = cluster.scratch();
   std::vector<dsm::GlobalAddr> border(P > 1 ? static_cast<std::size_t>(P - 1) : 0);
   for (int p = 0; p + 1 < P; ++p) {
     border[static_cast<std::size_t>(p)] =
-        cluster.alloc(sizeof(CellInfo), /*home=*/p);
+        scratch.alloc(sizeof(CellInfo), /*home=*/p);
   }
   // Paper-literal mode: per-node shared reading/writing rows.
   std::vector<dsm::SharedArray<CellInfo>> shared_reading, shared_writing;
@@ -62,11 +64,11 @@ StrategyResult wavefront_align(const Sequence& s, const Sequence& t,
     for (int p = 0; p < P; ++p) {
       const std::size_t width = column_range(n, P, p).width();
       const std::size_t bytes = std::max<std::size_t>(width, 1) * sizeof(CellInfo);
-      shared_reading.emplace_back(cluster.alloc(bytes, p), width);
-      shared_writing.emplace_back(cluster.alloc(bytes, p), width);
+      shared_reading.emplace_back(scratch.alloc(bytes, p), width);
+      shared_writing.emplace_back(scratch.alloc(bytes, p), width);
     }
   }
-  const CandidateGather gather(cluster, P, cfg.max_candidates_per_node);
+  const CandidateGather gather(scratch, P, cfg.max_candidates_per_node);
 
   const HeuristicKernel kernel(cfg.scheme, cfg.params);
   std::atomic<bool> overflow{false};
@@ -153,7 +155,7 @@ StrategyResult wavefront_align(const Sequence& s, const Sequence& t,
     if (!gather.publish(node, local)) overflow.store(true);
     node.barrier();  // end-of-computation barrier
     if (p == 0) merged = gather.collect(node);
-  });
+  }, std::move(scratch));
 
   StrategyResult result;
   result.dsm_stats = cluster.await(ticket);

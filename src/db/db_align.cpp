@@ -135,12 +135,13 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
   } else if (!filt.survivors.empty() && !query.empty()) {
     const std::size_t m = query.size();
     const std::size_t query_bytes = m * sizeof(Base);
-    // Fresh per-query scratch (the established per-dispatch idiom): the
-    // query page(s) homed at node 0, one [score, end_i, end_j] triple per
-    // survivor, also homed at node 0 where the gather runs.
-    const dsm::GlobalAddr query_addr = cluster.alloc(query_bytes, 0);
+    // Per-query job scratch, pooled again after the job: the query page(s)
+    // homed at node 0, one [score, end_i, end_j] triple per survivor, also
+    // homed at node 0 where the gather runs.
+    dsm::Scratch scratch = cluster.scratch();
+    const dsm::GlobalAddr query_addr = scratch.alloc(query_bytes, 0);
     const dsm::GlobalAddr result_addr =
-        cluster.alloc(filt.survivors.size() * 3 * sizeof(std::int32_t), 0);
+        scratch.alloc(filt.survivors.size() * 3 * sizeof(std::int32_t), 0);
 
     struct Work {
       std::uint32_t fragment;
@@ -195,7 +196,7 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
                         reinterpret_cast<std::byte*>(gathered.data()),
                         gathered.size() * sizeof(std::int32_t));
       }
-    });
+    }, std::move(scratch));
     const dsm::DsmStats stats = cluster.await(ticket);
     const dsm::NodeStats totals = stats.total_node();
     out.cache_hits = totals.cache_hits;

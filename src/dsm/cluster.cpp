@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "dsm/proc/supervisor.h"
@@ -167,6 +168,7 @@ void Cluster::proc_engine_loop() {
     lk.unlock();
     proc::Supervisor::Outcome out = supervisor_->run_job(job->program, keep);
     lk.lock();
+    job->scratch.release();  // children exited, node 0's cache swept
     job->failures = std::move(out.failures);
     job->stats = std::move(out.stats);
     if (!job->failures.empty()) {
@@ -219,6 +221,7 @@ void Cluster::finalize_job(Job& job) {
   job.stats.clear();
   for (auto& n : nodes_) job.stats.push_back(n->end_of_job(keep));
   reset_manager_state();
+  job.scratch.release();  // no cache holds a frame of these pages any more
   last_run_stats_ = job.stats;
   job.done = true;
 
@@ -232,12 +235,14 @@ void Cluster::finalize_job(Job& job) {
   done_cv_.notify_all();
 }
 
-Cluster::Ticket Cluster::submit(std::function<void(Node&)> program) {
+Cluster::Ticket Cluster::submit(std::function<void(Node&)> program,
+                                Scratch scratch) {
   const std::scoped_lock guard(jobs_mu_);
   if (stopping_) throw std::logic_error("Cluster: submit during stop()");
   ensure_started_locked();
   auto job = std::make_shared<Job>();
   job->program = std::move(program);
+  job->scratch = std::move(scratch);
   job->started.assign(static_cast<std::size_t>(n_nodes_), 0);
   if (current_) {
     queued_.push_back(job);
@@ -296,6 +301,12 @@ void Cluster::retain_range(GlobalAddr addr, std::size_t bytes) {
   const std::scoped_lock guard(jobs_mu_);
   const PageId first = space_.page_of(addr);
   const PageId last = space_.page_of(addr + bytes - 1);
+  for (PageId p = first; p <= last; ++p) {
+    if (space_.scratch_page(p)) {
+      throw std::invalid_argument("Cluster: retain_range over scratch page " +
+                                  std::to_string(p));
+    }
+  }
   for (PageId p = first; p <= last; ++p) retained_pages_.insert(p);
 }
 

@@ -16,6 +16,14 @@
 // drained and re-armed, and the next job is admitted as if the failure
 // never happened (request ids are never reused, so a reply that raced the
 // abort can only ever be dropped as stale).
+//
+// Global memory has two lifetimes.  alloc()/alloc_striped() give resident
+// pages (a subject genome, database shards) that live as long as the
+// cluster.  Per-call buffers come from scratch(): the holder rides along
+// with submit(), and its pages return to the space's free pool right after
+// the job's end-of-job sweep (finalize_job on threads, after
+// Supervisor::run_job on process), failed jobs included.  A long-running
+// service's global memory therefore stays bounded by its peak job.
 #pragma once
 
 #include <atomic>
@@ -62,6 +70,9 @@ class Cluster {
   }
   GlobalAddr alloc_striped(std::size_t bytes) { return space_.alloc_striped(bytes); }
 
+  /// A job-scoped holder for per-call buffers; hand it to submit().
+  Scratch scratch() { return Scratch(space_); }
+
   /// Opaque handle to a submitted job; await() redeems it.
   class Ticket {
    public:
@@ -76,8 +87,10 @@ class Cluster {
   /// Enqueues `program` to run once on every node (SPMD).  Jobs execute
   /// strictly one at a time in submission order; the persistent node pool
   /// (threads, warm retained pages, cumulative traffic counters) carries
-  /// over between them.  Lazily starts the engine on first use.
-  Ticket submit(std::function<void(Node&)> program);
+  /// over between them.  Lazily starts the engine on first use.  The job
+  /// takes `scratch` over and releases its pages to the pool once its
+  /// end-of-job cache sweep is done, before await() returns.
+  Ticket submit(std::function<void(Node&)> program, Scratch scratch = {});
 
   /// Blocks until the ticket's job has finished and returns that job's
   /// stats (per-node counters are per-job; traffic/fault counters are
@@ -97,7 +110,9 @@ class Cluster {
   /// end-of-job sweep keeps their clean cached frames, so read-only data
   /// (an alignment service's subject genome) stays warm across jobs.
   /// After a failed job the frames are dropped anyway (cold restart) but
-  /// the range stays marked and re-warms on the next touch.
+  /// the range stays marked and re-warms on the next touch.  Throws
+  /// std::invalid_argument for scratch pages: a pooled page is reused, so
+  /// its frames must never outlive its job.
   void retain_range(GlobalAddr addr, std::size_t bytes);
 
   /// Un-marks every retained page; frames are reclaimed at the next job end.
@@ -131,6 +146,7 @@ class Cluster {
   /// after they claim the job.
   struct Job {
     std::function<void(Node&)> program;
+    Scratch scratch;            ///< released right after the end-of-job sweep
     std::vector<char> started;  ///< per node: engine thread claimed it
     int finished = 0;           ///< engine threads done (success or failure)
     bool done = false;          ///< finalized; stats valid, safe to await

@@ -104,6 +104,7 @@ Json space_usage_json(const dsm::GlobalSpace& space) {
   Json j = Json::object();
   const std::size_t pages = space.num_pages();
   j.set("pages", pages);
+  j.set("pages_free", space.free_pages());
   j.set("bytes", pages * space.page_bytes());
   j.set("page_bytes", space.page_bytes());
   Json per_node = Json::array();

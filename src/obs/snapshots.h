@@ -33,8 +33,10 @@ Json to_json(const dsm::DsmStats& stats);
 /// the Fig. 10 categories, in simulated seconds.
 Json to_json(const sim::Breakdown& bd);
 
-/// {pages, bytes, page_bytes, pages_per_node} of the cluster-wide shared
-/// address space (home distribution reflects migration).
+/// {pages, pages_free, bytes, page_bytes, pages_per_node} of the
+/// cluster-wide shared address space: `pages` counts every page ever
+/// allocated, `pages_free` the released job scratch pooled among them
+/// (home distribution reflects migration).
 Json space_usage_json(const dsm::GlobalSpace& space);
 
 /// {backend, best: {calls, cells[, seconds, cells_per_second]}, count: ...,

@@ -306,7 +306,7 @@ TEST(HomeMigration, MigrationStopsDiffTraffic) {
         node.barrier();
       }
     });
-    const auto& stats = cluster.stats().node[1];
+    const NodeStats stats = cluster.stats().node[1];
     return std::pair(stats.diffs_sent, stats.empty_diffs_suppressed);
   };
   const auto [diffs_without, suppressed_without] = run_rounds(false);
@@ -393,7 +393,7 @@ TEST(CommPlane, BulkFetchCoalescesMultiPageReads) {
     }
     node.barrier();
   });
-  const NodeStats& reader = cluster.stats().node[1];
+  const NodeStats reader = cluster.stats().node[1];
   EXPECT_EQ(reader.bulk_fetches, 1u);
   EXPECT_EQ(reader.bulk_pages_fetched, static_cast<std::uint64_t>(kPages));
   EXPECT_EQ(reader.read_faults, static_cast<std::uint64_t>(kPages));
@@ -416,7 +416,7 @@ TEST(CommPlane, LegacyModeNeverBulksOrBatches) {
     }
     node.barrier();
   });
-  const NodeStats& n1 = cluster.stats().node[1];
+  const NodeStats n1 = cluster.stats().node[1];
   EXPECT_EQ(n1.bulk_fetches, 0u);
   EXPECT_EQ(n1.diff_batches_sent, 0u);
   EXPECT_EQ(n1.prefetch_issued, 0u);
@@ -450,7 +450,7 @@ TEST(CommPlane, SequentialScanPrefetchesAhead) {
     }
     node.barrier();
   });
-  const NodeStats& reader = cluster.stats().node[1];
+  const NodeStats reader = cluster.stats().node[1];
   EXPECT_GT(reader.prefetch_issued, 0u);
   EXPECT_GT(reader.prefetch_hits, 0u);
   EXPECT_LT(reader.read_faults, static_cast<std::uint64_t>(kPages));
@@ -469,7 +469,7 @@ TEST(CommPlane, EmptyDiffsSuppressedInEveryMode) {
       if (node.id() == 1) node.write<int>(x, 0);  // no-op over zeroed memory
       node.barrier();
     });
-    const NodeStats& writer = cluster.stats().node[1];
+    const NodeStats writer = cluster.stats().node[1];
     EXPECT_EQ(writer.diffs_sent, 0u) << "batched=" << batched;
     EXPECT_EQ(writer.empty_diffs_suppressed, 1u) << "batched=" << batched;
   }

@@ -481,6 +481,20 @@ TEST(SnapshotsTest, DsmStatsFromRealClusterRun) {
   EXPECT_TRUE(backend == "threads" || backend == "process") << backend;
 }
 
+TEST(SnapshotsTest, SpaceUsageSplitsLiveFromPooledPages) {
+  dsm::Cluster cluster(2);
+  (void)cluster.alloc(2 * 4096, 0);  // resident: page 0 + 2 live pages
+  {
+    dsm::Scratch scratch = cluster.scratch();
+    (void)scratch.alloc(3 * 4096, 1);
+  }  // released unsubmitted: 3 pooled pages
+  const Json j = Json::parse(space_usage_json(cluster.space()).dump());
+  EXPECT_EQ(j.at("pages").as_uint(), 6u);
+  EXPECT_EQ(j.at("pages_free").as_uint(), 3u);
+  EXPECT_EQ(j.at("bytes").as_uint(), 6u * 4096u);
+  ASSERT_EQ(j.at("pages_per_node").items().size(), 2u);
+}
+
 TEST(SnapshotsTest, SimReportJson) {
   const core::SimReport rep = core::sim_wavefront(2'000, 2'000, 4);
   const Json j = core::sim_report_json(rep, /*per_node=*/true);

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/blocked.h"
 #include "core/wavefront.h"
 #include "dsm/cluster.h"
 #include "sw/heuristic_scan.h"
@@ -277,6 +278,38 @@ TEST(ProcBackend, CommModesAllProduceIdenticalResults) {
   EXPECT_EQ(b, c);
   EXPECT_EQ(a[0], a[1]);
   EXPECT_EQ(a[1], a[2]);
+}
+
+TEST(ProcBackend, DefaultSpaceServes200BlockedQueries) {
+  // A resident 1 kbp subject and 250-bp probes at the default
+  // proc_space_bytes: each query's ~4 MiB of boundary rows and candidate
+  // buffers is job scratch, so the placed segment never fills up.
+  Rng rng(20261017);
+  const Sequence subject = random_dna(1000, rng, "subject");
+  Cluster cluster(3, proc_cfg());
+  ASSERT_EQ(cluster.config().proc_space_bytes, DsmConfig{}.proc_space_bytes);
+  const GlobalAddr t_addr = cluster.alloc_striped(subject.size());
+  cluster.host_write(t_addr, subject.data(), subject.size());
+  cluster.retain_range(t_addr, subject.size());
+
+  core::BlockedConfig cfg;
+  cfg.nprocs = 3;
+  cfg.cluster = &cluster;
+  cfg.resident_t_addr = t_addr;
+  cfg.resident_t_size = subject.size();
+  std::size_t pages_after_second = 0;
+  for (int k = 0; k < 200; ++k) {
+    const std::size_t at = static_cast<std::size_t>(k * 53) % 750;
+    const Sequence probe =
+        mutate(subject.slice(at, at + 250), 0.05, 0.01, rng);
+    const core::StrategyResult r = core::blocked_align(probe, subject, cfg);
+    ASSERT_FALSE(r.overflow) << "query " << k;
+    ASSERT_EQ(r.candidates,
+              heuristic_scan(probe, subject, cfg.scheme, cfg.params))
+        << "query " << k;
+    if (k == 1) pages_after_second = cluster.space().num_pages();
+  }
+  EXPECT_EQ(cluster.space().num_pages(), pages_after_second);
 }
 
 }  // namespace

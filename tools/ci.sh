@@ -34,8 +34,9 @@
 #  11. db_smoke                -- database serving gate: oracle-verified
 #                                 --db loadgen burst + db fuzz sweep in the
 #                                 Release tree, then the db suite, a db
-#                                 fuzz replay and the striped overflow-
-#                                 escalation suite rebuilt and re-run under
+#                                 fuzz replay, the striped overflow-
+#                                 escalation suite and the job-scratch
+#                                 suite rebuilt and re-run under
 #                                 Address/UBSanitizer (docs/SERVICE.md)
 #  12. db_cascade              -- the certified seed-and-extend stage:
 #                                 cascade on/off hit-for-hit identity vs the
@@ -182,11 +183,17 @@ build/tools/fuzz_align --db --budget-s=10 --quiet
 cmake -B build-asan -S . -DGDSM_SANITIZE=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target db_test fuzz_align \
-  striped_precision_test db_cascade_test
+  striped_precision_test db_cascade_test cluster_submit_test
 build-asan/tests/db_test --gtest_brief=1
 build-asan/tools/fuzz_align --db --seed=1 --faults=none --quiet
 echo "==> striped escalation suite (ASan)"
 build-asan/tests/striped_precision_test --gtest_brief=1
+# Job scratch pages are pooled and handed to the next query.  Pooled heap
+# pages are ASan-poisoned, so a use of a released run shows up here
+# (DESIGN.md "Global-memory lifecycle").
+echo "==> job scratch suite (ASan)"
+build-asan/tests/cluster_submit_test --gtest_brief=1 \
+  --gtest_filter='ClusterScratch.*'
 
 echo "==> db_cascade (certified seed-and-extend + persisted index)"
 # Cascade on/off hit-for-hit identity against the brute-force oracle,
@@ -219,6 +226,12 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     echo "---- $t (tsan)"
     TSAN_OPTIONS="halt_on_error=1" "build-tsan/tests/$t"
   done
+  # Scratch is released on the cluster's engine thread while other
+  # submitters allocate and zero pooled pages next to a running job's
+  # service threads: race the job-scratch suite a few more times.
+  echo "---- cluster_submit_test ClusterScratch.* x3 (tsan)"
+  TSAN_OPTIONS="halt_on_error=1" build-tsan/tests/cluster_submit_test \
+    --gtest_filter='ClusterScratch.*' --gtest_repeat=3 --gtest_brief=1
   # Admission under load must be deadlock-free: a short raced loadgen burst.
   echo "---- loadgen (tsan)"
   TSAN_OPTIONS="halt_on_error=1" build-tsan/tools/loadgen --rate=200 \
