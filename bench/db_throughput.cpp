@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   // run_all.sh's BENCH_KERNELS axis re-runs this bench under GDSM_KERNEL
   // forcings; a forced run gets a suffixed experiment id so its rows sit
   // next to the auto-dispatched run in the merged baseline instead of
-  // colliding with it (same idiom as ablation_comm_process).
+  // colliding with it (same idiom as kernels_dsm_process).
   std::string experiment = "db_throughput";
   if (std::getenv("GDSM_KERNEL") != nullptr)
     experiment += std::string("_") + simd::active_backend_name();

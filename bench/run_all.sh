@@ -58,7 +58,7 @@ done
 
 # The DSM execution-backend axis: the loop above ran every bench on the
 # thread backend; re-run the backend-aware benches once per extra backend.
-backend_benches=(ablation_comm kernels_dsm ablation_pagesize)
+backend_benches=(kernels_dsm ablation_pagesize)
 for backend in ${BENCH_BACKENDS-process}; do
   [ "$backend" = "threads" ] && continue  # the default pass above
   for name in "${backend_benches[@]}"; do

@@ -52,7 +52,6 @@ struct CascadeCounters {
   std::uint64_t extensions = 0;  ///< X-drop extensions executed
   std::uint64_t dp_skipped_by_bound = 0;  ///< candidates certified, no DP
   std::uint64_t dp_confirmed = 0;  ///< forwarded candidates DP kept >= min
-  std::uint64_t index_mmap_hits = 0;  ///< warm load_db via persisted index
 
   CascadeCounters& operator+=(const CascadeCounters& o) {
     seeds += o.seeds;
@@ -60,7 +59,6 @@ struct CascadeCounters {
     extensions += o.extensions;
     dp_skipped_by_bound += o.dp_skipped_by_bound;
     dp_confirmed += o.dp_confirmed;
-    index_mmap_hits += o.index_mmap_hits;
     return *this;
   }
 };

@@ -47,7 +47,7 @@ void db_meter_record_cascade(const CascadeCounters& counters) {
 
 void db_meter_record_index_open() {
   const std::scoped_lock lk(g_mu);
-  ++g_totals.cascade.index_mmap_hits;
+  ++g_totals.index_opens;
 }
 
 void db_meter_record_shards(const std::vector<std::uint64_t>& per_node_bases) {

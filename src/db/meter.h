@@ -1,7 +1,7 @@
 // Process-global database-pipeline counters, mirroring the kernel
 // (simd::kernel_stats) and comm (dsm::comm_totals) metering pattern: every
 // db_query / DbShards in the process accumulates here, and the run-report
-// layer snapshots the totals into the schema-v7 "db" section
+// layer snapshots the totals into the run report's "db" section
 // (obs/snapshots.h db_stats_json, docs/METRICS.md).
 #pragma once
 
@@ -19,6 +19,7 @@ struct DbMeterSnapshot {
   std::uint64_t fragments_rejected = 0;  ///< discarded before any DP
   std::uint64_t fragments_aligned = 0;   ///< survivors fed to the kernels
   std::uint64_t hits = 0;                ///< fragments reported >= min_score
+  std::uint64_t index_opens = 0;  ///< warm load_db via a persisted index
   /// Seed-and-extend funnel totals (schema v10 `db.cascade`).
   CascadeCounters cascade;
   /// Residency and work placement per cluster node, for the shard-balance

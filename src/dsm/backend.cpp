@@ -1,5 +1,5 @@
-// Backend default resolution (GDSM_BACKEND), mirroring comm.cpp's
-// GDSM_COMM handling: parsed once, explicit config assignments always win.
+// Backend default resolution (GDSM_BACKEND): parsed once, explicit config
+// assignments always win.
 #include "dsm/backend.h"
 
 #include <cstdio>

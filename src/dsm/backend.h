@@ -2,11 +2,10 @@
 // process (fork + shm_open/mmap pages + mprotect/SIGSEGV fault traps + a
 // Unix-domain-socket data plane — src/dsm/proc).
 //
-// Both backends run the same protocol state machine and must produce
+// Both backends run the same protocol code (dsm::Node) and must produce
 // bit-identical alignment results; the differential oracle and the fault
-// plans gate the process backend exactly like GDSM_COMM gates the data
-// plane.  The environment variable only seeds the *default* — an explicit
-// DsmConfig::backend assignment always wins.
+// plans gate the process backend.  The environment variable only seeds the
+// *default* — an explicit DsmConfig::backend assignment always wins.
 #pragma once
 
 namespace gdsm::dsm {

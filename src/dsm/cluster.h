@@ -26,7 +26,6 @@
 // service's global memory therefore stays bounded by its peak job.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -174,9 +173,6 @@ class Cluster {
   /// One protocol state machine per node, each touched only by that node's
   /// service thread (dsm/manager.h — shared with the process backend).
   std::vector<std::unique_ptr<ProtocolManager>> managers_;
-  /// Cluster-wide request-id source: ids stay unique across nodes AND
-  /// across jobs, so a stale reply can never match a later request.
-  std::atomic<std::uint64_t> request_ids_{0};
 
   // --- persistent engine ----------------------------------------------
   mutable std::mutex jobs_mu_;

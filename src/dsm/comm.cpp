@@ -1,145 +1,34 @@
-// Data-plane mode resolution (GDSM_COMM) and the process-wide comm totals
-// that feed the run-report "comm" section.
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+// The process-wide comm totals that feed the run-report "comm" and "dsm"
+// sections.
+#include <mutex>
 
-#include "dsm/config.h"
 #include "dsm/stats.h"
 
 namespace gdsm::dsm {
 
 namespace {
 
-CommConfig legacy_comm() {
-  CommConfig c;
-  c.batch_diffs = false;
-  c.bulk_fetch = false;
-  c.prefetch_pages = 0;
-  return c;
-}
-
-// Resolved once at first use, like the simd GDSM_KERNEL forcing: the
-// environment only seeds the *default* CommConfig, so a DsmConfig that
-// assigns comm fields explicitly (tests, the differential oracle) is never
-// affected by the variable.
-const CommConfig& env_default() {
-  static const CommConfig resolved = [] {
-    CommConfig pick;  // built-in default: batched, no prefetch
-    if (const char* env = std::getenv("GDSM_COMM"); env != nullptr) {
-      if (std::strcmp(env, "legacy") == 0) {
-        pick = legacy_comm();
-      } else if (std::strcmp(env, "batched") == 0) {
-        pick = CommConfig{};
-      } else if (std::strcmp(env, "batched+prefetch") == 0) {
-        pick.prefetch_pages = 4;
-      } else {
-        std::fprintf(stderr,
-                     "gdsm: GDSM_COMM=%s unknown "
-                     "(legacy|batched|batched+prefetch), using %s\n",
-                     env, comm_mode_name(pick));
-      }
-    }
-    return pick;
-  }();
-  return resolved;
-}
-
-struct AtomicComm {
-  std::atomic<std::uint64_t> diff_batches_sent{0};
-  std::atomic<std::uint64_t> diff_pages_batched{0};
-  std::atomic<std::uint64_t> bulk_fetches{0};
-  std::atomic<std::uint64_t> bulk_pages_fetched{0};
-  std::atomic<std::uint64_t> prefetch_issued{0};
-  std::atomic<std::uint64_t> prefetch_hits{0};
-  std::atomic<std::uint64_t> prefetch_wasted{0};
-  std::atomic<std::uint64_t> empty_diffs_suppressed{0};
-  // v8 process-backend block: accounted by the supervisor when it folds
-  // child stats back in, so the run-report dsm section sees them even
-  // though they were incurred in other address spaces.
-  std::atomic<std::uint64_t> peer_failures{0};
-  std::atomic<std::uint64_t> segv_faults{0};
-  std::atomic<std::uint64_t> pages_mapped{0};
-  std::atomic<std::uint64_t> pages_protected{0};
-  std::atomic<std::uint64_t> twins_created{0};
-  std::atomic<std::uint64_t> socket_bytes_sent{0};
-  std::atomic<std::uint64_t> socket_bytes_received{0};
-};
-
-AtomicComm g_comm;
+// The process-backend counters are accounted by the supervisor when it
+// folds child stats back in, so the run report sees them even though they
+// were incurred in other address spaces.
+std::mutex g_mu;
+NodeStats g_totals;
 
 }  // namespace
 
-CommConfig default_comm() noexcept { return env_default(); }
-
-const char* comm_mode_name(const CommConfig& comm) noexcept {
-  if (!comm.batch_diffs && !comm.bulk_fetch && comm.prefetch_pages == 0) {
-    return "legacy";
-  }
-  return comm.prefetch_pages > 0 ? "batched+prefetch" : "batched";
-}
-
 void account_comm_totals(const NodeStats& per_job) noexcept {
-  const auto add = [](std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-    if (v != 0) slot.fetch_add(v, std::memory_order_relaxed);
-  };
-  add(g_comm.diff_batches_sent, per_job.diff_batches_sent);
-  add(g_comm.diff_pages_batched, per_job.diff_pages_batched);
-  add(g_comm.bulk_fetches, per_job.bulk_fetches);
-  add(g_comm.bulk_pages_fetched, per_job.bulk_pages_fetched);
-  add(g_comm.prefetch_issued, per_job.prefetch_issued);
-  add(g_comm.prefetch_hits, per_job.prefetch_hits);
-  add(g_comm.prefetch_wasted, per_job.prefetch_wasted);
-  add(g_comm.empty_diffs_suppressed, per_job.empty_diffs_suppressed);
-  add(g_comm.peer_failures, per_job.peer_failures);
-  add(g_comm.segv_faults, per_job.segv_faults);
-  add(g_comm.pages_mapped, per_job.pages_mapped);
-  add(g_comm.pages_protected, per_job.pages_protected);
-  add(g_comm.twins_created, per_job.twins_created);
-  add(g_comm.socket_bytes_sent, per_job.socket_bytes_sent);
-  add(g_comm.socket_bytes_received, per_job.socket_bytes_received);
+  const std::scoped_lock guard(g_mu);
+  g_totals += per_job;
 }
 
 NodeStats comm_totals() noexcept {
-  NodeStats out;
-  const auto get = [](const std::atomic<std::uint64_t>& slot) {
-    return slot.load(std::memory_order_relaxed);
-  };
-  out.diff_batches_sent = get(g_comm.diff_batches_sent);
-  out.diff_pages_batched = get(g_comm.diff_pages_batched);
-  out.bulk_fetches = get(g_comm.bulk_fetches);
-  out.bulk_pages_fetched = get(g_comm.bulk_pages_fetched);
-  out.prefetch_issued = get(g_comm.prefetch_issued);
-  out.prefetch_hits = get(g_comm.prefetch_hits);
-  out.prefetch_wasted = get(g_comm.prefetch_wasted);
-  out.empty_diffs_suppressed = get(g_comm.empty_diffs_suppressed);
-  out.peer_failures = get(g_comm.peer_failures);
-  out.segv_faults = get(g_comm.segv_faults);
-  out.pages_mapped = get(g_comm.pages_mapped);
-  out.pages_protected = get(g_comm.pages_protected);
-  out.twins_created = get(g_comm.twins_created);
-  out.socket_bytes_sent = get(g_comm.socket_bytes_sent);
-  out.socket_bytes_received = get(g_comm.socket_bytes_received);
-  return out;
+  const std::scoped_lock guard(g_mu);
+  return g_totals;
 }
 
 void reset_comm_totals() noexcept {
-  g_comm.diff_batches_sent.store(0, std::memory_order_relaxed);
-  g_comm.diff_pages_batched.store(0, std::memory_order_relaxed);
-  g_comm.bulk_fetches.store(0, std::memory_order_relaxed);
-  g_comm.bulk_pages_fetched.store(0, std::memory_order_relaxed);
-  g_comm.prefetch_issued.store(0, std::memory_order_relaxed);
-  g_comm.prefetch_hits.store(0, std::memory_order_relaxed);
-  g_comm.prefetch_wasted.store(0, std::memory_order_relaxed);
-  g_comm.empty_diffs_suppressed.store(0, std::memory_order_relaxed);
-  g_comm.peer_failures.store(0, std::memory_order_relaxed);
-  g_comm.segv_faults.store(0, std::memory_order_relaxed);
-  g_comm.pages_mapped.store(0, std::memory_order_relaxed);
-  g_comm.pages_protected.store(0, std::memory_order_relaxed);
-  g_comm.twins_created.store(0, std::memory_order_relaxed);
-  g_comm.socket_bytes_sent.store(0, std::memory_order_relaxed);
-  g_comm.socket_bytes_received.store(0, std::memory_order_relaxed);
+  const std::scoped_lock guard(g_mu);
+  g_totals = NodeStats{};
 }
 
 }  // namespace gdsm::dsm

@@ -22,47 +22,6 @@ struct RetryPolicy {
   std::uint32_t backoff_us = 200;///< timeout grows by this much per attempt
 };
 
-/// The DSM data plane's aggregation/pipelining knobs — the page-level
-/// counterpart of the paper's block-aggregation lesson (§4.3): one exchange
-/// per *batch* of pages instead of one blocking round-trip per page.
-///
-/// With everything off the node behaves bit-identically to the legacy
-/// serial plane (one kGetPage per faulting page, one kDiff + ack per dirty
-/// page), which is what the differential oracle compares against.  The
-/// process-wide default comes from default_comm(), which honours
-/// GDSM_COMM=legacy|batched|batched+prefetch once at first use; explicit
-/// assignments in a DsmConfig always win over the environment.
-struct CommConfig {
-  /// Release-time diff propagation groups dirty pages by home node and
-  /// ships one kDiffBatch per home, collecting the acks concurrently.
-  bool batch_diffs = true;
-  /// read_bytes spanning several uncached remote pages issues one kGetPages
-  /// bulk fetch per home instead of one serial kGetPage fault per page.
-  bool bulk_fetch = true;
-  /// Sequential read-ahead depth: when a read fault extends a forward page
-  /// scan, the next `prefetch_pages` pages are requested asynchronously so
-  /// the fetch latency overlaps the caller's compute.  0 = off.
-  std::uint32_t prefetch_pages = 0;
-  /// Outstanding-request window for batched release acks and bulk fetches
-  /// (send up to this many before the first reply must arrive).
-  std::uint32_t max_outstanding = 8;
-  /// Upper bound on pages carried by one kGetPages request (also caps the
-  /// prefetch issue size); bounded by the page-cache capacity at use sites.
-  std::uint32_t max_batch_pages = 64;
-
-  friend bool operator==(const CommConfig&, const CommConfig&) = default;
-};
-
-/// The process-wide CommConfig defaults: CommConfig{} unless GDSM_COMM
-/// forces a mode ("legacy" all-off, "batched" coalescing only,
-/// "batched+prefetch" coalescing plus depth-4 read-ahead).  Parsed once;
-/// unknown values warn on stderr and fall back to the built-in default.
-CommConfig default_comm() noexcept;
-
-/// Canonical mode name of a CommConfig ("legacy", "batched",
-/// "batched+prefetch") — the string the run-report comm section carries.
-const char* comm_mode_name(const CommConfig& comm) noexcept;
-
 struct DsmConfig {
   /// Shared page size.  JIAJIA used the host VM page (4 KiB on the paper's
   /// Pentium II cluster).
@@ -87,9 +46,6 @@ struct DsmConfig {
 
   /// Reply timeout/retry policy of the nodes (off by default).
   RetryPolicy retry{};
-
-  /// Data-plane aggregation knobs; the default honours GDSM_COMM.
-  CommConfig comm = default_comm();
 
   /// Simulated network misbehaviour of the cluster interconnect
   /// (net/fault.h); a default plan injects nothing.

@@ -99,11 +99,12 @@ class GlobalSpace {
   /// Upper page bound of the placed mode (0 in heap mode).
   std::size_t max_pages() const noexcept { return max_pages_; }
 
-  /// The cluster-wide request-id counter, hosted in the shm control segment
-  /// so ids stay unique across node *processes*.  Null in heap mode (the
-  /// thread backend keeps its counter in the Cluster).
-  std::atomic<std::uint64_t>* shared_request_ids() noexcept {
-    return placed_ ? &header_->request_ids : nullptr;
+  /// The cluster-wide request-id source: ids stay unique across nodes AND
+  /// across jobs, so a stale reply can never match a later request.  Placed
+  /// mode hosts it in the shm control segment so ids stay unique across
+  /// node *processes*.
+  std::atomic<std::uint64_t>& request_ids() noexcept {
+    return placed_ ? header_->request_ids : heap_request_ids_;
   }
 
  private:
@@ -146,6 +147,7 @@ class GlobalSpace {
   std::map<PageId, std::size_t> free_runs_;  ///< first page -> run length
   std::size_t free_pages_ = 0;
   std::vector<bool> scratch_;  ///< per page: scratch-owned or pooled
+  std::atomic<std::uint64_t> heap_request_ids_{0};
 
   // -- placed mode ---------------------------------------------------------
   bool placed_ = false;

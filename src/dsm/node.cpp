@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "dsm/cluster.h"
@@ -16,129 +18,106 @@ namespace {
 /// Payload bytes of a diff-batch frame header (u64 page + u32 record_bytes).
 constexpr std::size_t kBatchFrameHeader = sizeof(PageId) + sizeof(std::uint32_t);
 
+[[noreturn]] void throw_box_closed() {
+  throw std::runtime_error("DSM node: reply box closed mid-request");
+}
+
 }  // namespace
 
-ThreadNode::ThreadNode(Cluster& cluster, int id)
-    : Node(id), cluster_(cluster), cache_(cluster.config().cache_pages) {}
+Node::Node(int id, int n_nodes, const DsmConfig& cfg, GlobalSpace& space)
+    : id_(id),
+      n_nodes_(n_nodes),
+      cfg_(cfg),
+      space_(space),
+      page_bytes_(space.page_bytes()),
+      cache_(cfg.cache_pages) {}
 
-int ThreadNode::nodes() const noexcept { return cluster_.nodes(); }
+// ---------------------------------------------------------------------------
+// Request engine.
 
-net::Message ThreadNode::request(net::Message msg) {
+std::uint64_t Node::next_request_id() {
+  return space_.request_ids().fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+net::Message Node::request(net::Message msg) {
   msg.src = id_;
-  msg.c = cluster_.request_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
+  msg.c = next_request_id();
   const std::uint64_t id = msg.c;
-  const RetryPolicy& retry = cluster_.config().retry;
+  const RetryPolicy& retry = cfg_.retry;
   // Only idempotent requests may be retransmitted: fetching a page twice or
   // applying the same diff twice is harmless, but a duplicated acquire /
   // barrier / cv / alloc would corrupt manager state.
   const bool retryable =
       retry.timeout_us > 0 && (msg.type == net::MsgType::kGetPage ||
-                               msg.type == net::MsgType::kDiff ||
-                               msg.type == net::MsgType::kGetPages ||
-                               msg.type == net::MsgType::kDiffBatch);
+                               msg.type == net::MsgType::kDiff);
   net::Message resend;  // copy kept only while retransmission is possible
   if (retryable) resend = msg;
-  cluster_.transport_.send(std::move(msg));
+  send(std::move(msg));
 
-  auto& box = cluster_.transport_.reply_box(id_);
-  if (retry.timeout_us == 0) {
-    for (;;) {
-      auto reply = box.pop();
-      if (!reply) {
-        throw std::runtime_error("DSM node: reply box closed mid-request");
-      }
-      if (reply->c != id) {
-        // A read-ahead reply sharing the box is kept for the next safe
-        // point; anything else is a leftover of a superseded attempt.
-        if (prefetch_inflight_.count(reply->c) != 0) {
-          deferred_prefetch_.push_back(*std::move(reply));
-        } else {
-          ++stats_.stale_replies;
-        }
-        continue;
-      }
-      return *std::move(reply);
-    }
-  }
+  net::Mailbox& box = reply_box();
   std::uint32_t attempts = 0;
   for (;;) {
-    const auto wait = std::chrono::microseconds(
-        retry.timeout_us +
-        static_cast<std::uint64_t>(attempts) * retry.backoff_us);
-    bool closed = false;
-    auto reply = box.pop_for(wait, &closed);
-    if (reply) {
-      if (reply->c != id) {
-        if (prefetch_inflight_.count(reply->c) != 0) {
-          deferred_prefetch_.push_back(*std::move(reply));
-        } else {
-          ++stats_.stale_replies;
+    std::optional<net::Message> reply;
+    if (retry.timeout_us == 0) {
+      reply = box.pop();
+      if (!reply) throw_box_closed();
+    } else {
+      const auto wait = std::chrono::microseconds(
+          retry.timeout_us +
+          static_cast<std::uint64_t>(attempts) * retry.backoff_us);
+      bool closed = false;
+      reply = box.pop_for(wait, &closed);
+      if (!reply) {
+        if (closed) throw_box_closed();
+        ++stats_.request_timeouts;
+        if (retryable && attempts < retry.max_retries) {
+          ++attempts;
+          ++stats_.request_retries;
+          net::Message again = resend;  // same id: replies stay matchable
+          send(std::move(again));
         }
+        // Non-idempotent requests (and exhausted retries) keep waiting; the
+        // transport is reliable underneath, so the reply will come.
         continue;
       }
-      return *std::move(reply);
     }
-    if (closed) {
-      throw std::runtime_error("DSM node: reply box closed mid-request");
-    }
-    ++stats_.request_timeouts;
-    if (retryable && attempts < retry.max_retries) {
-      ++attempts;
-      ++stats_.request_retries;
-      net::Message again = resend;  // same request id: replies stay matchable
-      cluster_.transport_.send(std::move(again));
-    }
-    // Non-idempotent requests (and exhausted retries) simply keep waiting;
-    // the transport is reliable underneath, so the reply will come.
+    if (reply->c == id) return *std::move(reply);
+    ++stats_.stale_replies;  // a leftover of a superseded attempt
   }
 }
 
-void ThreadNode::request_all(std::vector<net::Message> msgs,
-                       void (ThreadNode::*on_reply)(net::Message)) {
-  const CommConfig& comm = cluster_.config().comm;
-  const RetryPolicy& retry = cluster_.config().retry;
-  const std::size_t window = comm.max_outstanding > 0 ? comm.max_outstanding : 1;
-
-  struct Outstanding {
-    net::Message resend;
-    std::uint32_t attempts = 0;
-  };
-  std::map<std::uint64_t, Outstanding> outstanding;
+void Node::request_all(std::vector<net::Message> msgs) {
+  const RetryPolicy& retry = cfg_.retry;
+  std::map<std::uint64_t, std::pair<net::Message, std::uint32_t>> outstanding;
   std::size_t next = 0;
   auto send_next = [&] {
     net::Message msg = std::move(msgs[next++]);
     msg.src = id_;
-    msg.c = cluster_.request_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-    Outstanding o;
-    if (retry.timeout_us > 0) o.resend = msg;  // all request_all types are
-                                               // idempotent by construction
-    outstanding.emplace(msg.c, std::move(o));
-    cluster_.transport_.send(std::move(msg));
+    msg.c = next_request_id();
+    auto& slot = outstanding[msg.c];  // {resend copy, attempts}
+    if (retry.timeout_us > 0) slot.first = msg;
+    send(std::move(msg));
   };
-  while (next < msgs.size() && outstanding.size() < window) send_next();
+  while (next < msgs.size() && outstanding.size() < kWindow) send_next();
 
-  auto& box = cluster_.transport_.reply_box(id_);
+  net::Mailbox& box = reply_box();
   while (!outstanding.empty()) {
     std::optional<net::Message> reply;
     if (retry.timeout_us == 0) {
       reply = box.pop();
-      if (!reply) {
-        throw std::runtime_error("DSM node: reply box closed mid-request");
-      }
+      if (!reply) throw_box_closed();
     } else {
       bool closed = false;
       reply = box.pop_for(std::chrono::microseconds(retry.timeout_us), &closed);
       if (!reply) {
-        if (closed) {
-          throw std::runtime_error("DSM node: reply box closed mid-request");
-        }
+        if (closed) throw_box_closed();
         ++stats_.request_timeouts;
         for (auto& [id, o] : outstanding) {
-          if (o.attempts < retry.max_retries) {
-            ++o.attempts;
+          if (o.second < retry.max_retries) {
+            ++o.second;
             ++stats_.request_retries;
-            net::Message again = o.resend;
-            cluster_.transport_.send(std::move(again));
+            net::Message again = o.first;
+            send(std::move(again));
           }
         }
         continue;
@@ -146,172 +125,85 @@ void ThreadNode::request_all(std::vector<net::Message> msgs,
     }
     const auto it = outstanding.find(reply->c);
     if (it == outstanding.end()) {
-      if (prefetch_inflight_.count(reply->c) != 0) {
-        deferred_prefetch_.push_back(*std::move(reply));
-      } else {
-        ++stats_.stale_replies;
-      }
+      ++stats_.stale_replies;
       continue;
     }
     outstanding.erase(it);
-    (this->*on_reply)(*std::move(reply));
+    if (reply->type == net::MsgType::kPagesData) {
+      for (const wire::PageDataSpan& span :
+           wire::decode_pages_data(reply->payload, page_bytes_)) {
+        if (cache_.contains(span.page)) continue;  // e.g. duplicate retransmit
+        const auto first =
+            reply->payload.begin() + static_cast<std::ptrdiff_t>(span.offset);
+        install(span.page, std::vector<std::byte>(
+                               first, first + static_cast<std::ptrdiff_t>(
+                                                  page_bytes_)));
+      }
+    } else {
+      assert(reply->type == net::MsgType::kDiffBatchAck);
+    }
     if (next < msgs.size()) send_next();
   }
 }
 
-void ThreadNode::on_batch_ack(net::Message reply) {
-  assert(reply.type == net::MsgType::kDiffBatchAck);
-  (void)reply;
-}
+// ---------------------------------------------------------------------------
+// Frame table.
 
-void ThreadNode::on_pages_data(net::Message reply) {
-  assert(reply.type == net::MsgType::kPagesData);
-  const std::size_t page_bytes = cluster_.space_.page_bytes();
-  for (const wire::PageDataSpan& span :
-       wire::decode_pages_data(reply.payload, page_bytes)) {
-    if (cache_.contains(span.page)) continue;  // e.g. duplicate retransmit
-    std::vector<std::byte> data(
-        reply.payload.begin() + static_cast<std::ptrdiff_t>(span.offset),
-        reply.payload.begin() +
-            static_cast<std::ptrdiff_t>(span.offset + page_bytes));
-    insert_fetched(span.page, std::move(data), /*prefetched=*/false);
-  }
-}
-
-Frame* ThreadNode::insert_fetched(PageId p, std::vector<std::byte> data,
-                            bool prefetched) {
+Frame* Node::install(PageId p, std::vector<std::byte> data) {
   PageCache::Evicted evicted;
-  Frame* f = cache_.insert(p, std::move(data), &evicted);
-  f->prefetched = prefetched;
+  Frame* f = cache_.insert(p, {}, &evicted);
   if (evicted.valid) {
     ++stats_.evictions;
-    if (evicted.frame.prefetched) ++stats_.prefetch_wasted;
     if (evicted.frame.dirty) {
       // The victim's diff needs a blocking round-trip, which must not run
-      // while this insert happens inside request_all()/absorb paths with
-      // other replies pending on the shared box — flush at the next safe
-      // point instead.
-      deferred_dirty_.emplace_back(evicted.page, std::move(evicted.frame));
+      // here (installs happen inside request_all() with other replies
+      // pending on the box, and inside the SIGSEGV handler): copy it out and
+      // flush at the next safe point.
+      const std::byte* bytes = frame_bytes(evicted.page, evicted.frame);
+      deferred_dirty_.push_back(
+          {evicted.page, std::vector<std::byte>(bytes, bytes + page_bytes_),
+           std::move(evicted.frame.twin)});
     }
+    frame_dropped(evicted.page);
   }
+  fill_frame(p, *f, std::move(data));
   return f;
 }
 
-void ThreadNode::flush_deferred_dirty() {
+void Node::drop(PageId p) {
+  if (cache_.erase(p)) frame_dropped(p);
+}
+
+void Node::clean(PageId p, Frame& f) {
+  f.twin.clear();
+  f.twin.shrink_to_fit();
+  f.dirty = false;
+  frame_cleaned(p);
+}
+
+Frame* Node::fetch_page(PageId p) {
+  ++stats_.read_faults;
+  net::Message msg;
+  msg.dst = space_.home_of(p);
+  msg.type = net::MsgType::kGetPage;
+  msg.a = p;
+  net::Message reply = request(std::move(msg));
+  return install(p, std::move(reply.payload));
+}
+
+void Node::make_twin(PageId p, Frame& f) {
+  const std::byte* bytes = frame_bytes(p, f);
+  f.twin.assign(bytes, bytes + page_bytes_);
+  f.dirty = true;
+  ++stats_.write_faults;
+}
+
+void Node::flush_deferred_dirty() {
   while (!deferred_dirty_.empty()) {
-    auto [page, frame] = std::move(deferred_dirty_.back());
+    DeferredDirty d = std::move(deferred_dirty_.back());
     deferred_dirty_.pop_back();
-    if (flush_frame_diff(page, frame)) pending_notices_.push_back(page);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sequential read-ahead.
-
-void ThreadNode::maybe_prefetch(PageId p) {
-  const CommConfig& comm = cluster_.config().comm;
-  GlobalSpace& space = cluster_.space_;
-  // Leave headroom: read-ahead must never thrash a small cache into
-  // evicting the pages the application is actually using.
-  if (cache_.size() + prefetch_pending_.size() + comm.prefetch_pages + 1 >
-      cache_.capacity()) {
-    return;
-  }
-  std::map<int, std::vector<PageId>> by_home;
-  for (std::uint32_t k = 1; k <= comm.prefetch_pages; ++k) {
-    const PageId q = p + k;
-    if (!space.valid_page(q)) break;
-    if (space.home_of(q) == id_) continue;
-    if (cache_.contains(q)) continue;
-    if (prefetch_pending_.count(q) != 0) continue;
-    by_home[space.home_of(q)].push_back(q);
-  }
-  for (auto& [home, pages] : by_home) {
-    net::Message msg;
-    msg.src = id_;
-    msg.dst = home;
-    msg.type = net::MsgType::kGetPages;
-    msg.a = pages.size();
-    msg.c = cluster_.request_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-    msg.payload = wire::encode_pages(pages);
-    stats_.prefetch_issued += pages.size();
-    for (PageId q : pages) prefetch_pending_.insert(q);
-    prefetch_inflight_.emplace(msg.c, std::move(pages));
-    cluster_.transport_.send(std::move(msg));  // async: reply absorbed later
-  }
-}
-
-void ThreadNode::absorb_prefetch(net::Message reply) {
-  const auto it = prefetch_inflight_.find(reply.c);
-  assert(it != prefetch_inflight_.end());
-  const std::vector<PageId> wanted = std::move(it->second);
-  prefetch_inflight_.erase(it);
-  const std::size_t page_bytes = cluster_.space_.page_bytes();
-  for (const wire::PageDataSpan& span :
-       wire::decode_pages_data(reply.payload, page_bytes)) {
-    // Pages cancelled by a write notice between issue and arrival are
-    // dropped: their contents predate the release we just synchronized with.
-    if (std::find(wanted.begin(), wanted.end(), span.page) == wanted.end()) {
-      continue;
-    }
-    prefetch_pending_.erase(span.page);
-    if (cache_.contains(span.page)) continue;
-    std::vector<std::byte> data(
-        reply.payload.begin() + static_cast<std::ptrdiff_t>(span.offset),
-        reply.payload.begin() +
-            static_cast<std::ptrdiff_t>(span.offset + page_bytes));
-    insert_fetched(span.page, std::move(data), /*prefetched=*/true);
-  }
-}
-
-void ThreadNode::absorb_prefetch_replies() {
-  if (!deferred_prefetch_.empty()) {
-    std::vector<net::Message> deferred = std::move(deferred_prefetch_);
-    deferred_prefetch_.clear();
-    for (auto& msg : deferred) absorb_prefetch(std::move(msg));
-  }
-  if (!prefetch_inflight_.empty()) {
-    auto& box = cluster_.transport_.reply_box(id_);
-    while (auto msg = box.try_pop()) {
-      if (prefetch_inflight_.count(msg->c) != 0) {
-        absorb_prefetch(*std::move(msg));
-      } else {
-        ++stats_.stale_replies;
-      }
-    }
-  }
-  flush_deferred_dirty();
-}
-
-Frame* ThreadNode::await_prefetch(PageId p) {
-  if (prefetch_pending_.count(p) == 0) return nullptr;
-  auto& box = cluster_.transport_.reply_box(id_);
-  while (prefetch_pending_.count(p) != 0) {
-    auto msg = box.pop();
-    if (!msg) {
-      throw std::runtime_error("DSM node: reply box closed mid-request");
-    }
-    if (prefetch_inflight_.count(msg->c) != 0) {
-      absorb_prefetch(*std::move(msg));
-    } else {
-      ++stats_.stale_replies;
-    }
-  }
-  flush_deferred_dirty();
-  // Usually a hit; may be null when a tiny cache evicted `p` again while
-  // later pages of the same reply were inserted — the caller then falls
-  // through to a plain demand fault.
-  return cache_.lookup(p);
-}
-
-void ThreadNode::cancel_prefetch(PageId p) {
-  if (prefetch_pending_.erase(p) == 0) return;
-  ++stats_.prefetch_wasted;
-  for (auto& [id, pages] : prefetch_inflight_) {
-    const auto it = std::find(pages.begin(), pages.end(), p);
-    if (it != pages.end()) {
-      pages.erase(it);
-      break;
+    if (send_diff(d.page, d.twin.data(), d.data.data())) {
+      pending_notices_.push_back(d.page);
     }
   }
 }
@@ -319,116 +211,58 @@ void ThreadNode::cancel_prefetch(PageId p) {
 // ---------------------------------------------------------------------------
 // Access paths.
 
-Frame* ThreadNode::ensure_cached(PageId p) {
-  if (!prefetch_inflight_.empty() || !deferred_prefetch_.empty()) {
-    absorb_prefetch_replies();
-  }
-  Frame* f = cache_.lookup(p);
-  if (f == nullptr && prefetch_pending_.count(p) != 0) f = await_prefetch(p);
-  if (f != nullptr) {
-    ++stats_.cache_hits;
-    if (f->prefetched) {
-      f->prefetched = false;
-      ++stats_.prefetch_hits;
-    }
-  } else {
-    ++stats_.read_faults;
-    net::Message msg;
-    msg.dst = cluster_.space_.home_of(p);
-    msg.type = net::MsgType::kGetPage;
-    msg.a = p;
-    net::Message reply = request(std::move(msg));
-    f = insert_fetched(p, std::move(reply.payload), /*prefetched=*/false);
-    flush_deferred_dirty();
-    f = cache_.lookup(p);  // re-resolve: the deferred flush may touch the map
-    assert(f != nullptr);
-  }
-  // Sequential-scan detector: a touch extending the previous one by exactly
-  // one page keeps the read-ahead window sliding in front of the scan.
-  const bool sequential = p == last_faulted_page_ + 1;
-  last_faulted_page_ = p;
-  if (sequential && cluster_.config().comm.prefetch_pages > 0) {
-    maybe_prefetch(p);
-  }
-  return f;
-}
-
-Frame* ThreadNode::ensure_writable_frame(PageId p) {
-  Frame* f = ensure_cached(p);
-  if (!f->dirty) {
-    f->twin = f->data;  // create the twin for the multiple-writer diff
-    f->dirty = true;
-    ++stats_.write_faults;
-  }
-  return f;
-}
-
-void ThreadNode::prefault_range(GlobalAddr a, std::size_t n) {
-  GlobalSpace& space = cluster_.space_;
-  const CommConfig& comm = cluster_.config().comm;
-  if (!prefetch_inflight_.empty() || !deferred_prefetch_.empty()) {
-    absorb_prefetch_replies();
-  }
-  const PageId first = space.page_of(a);
-  const PageId last = space.page_of(a + n - 1);
+void Node::prefault_range(GlobalAddr a, std::size_t n) {
+  const PageId first = space_.page_of(a);
+  const PageId last = space_.page_of(a + n - 1);
   // Never bulk-fetch more than half the cache in one go: the tail of a huge
   // span would evict its own head before the copy loop reads it.
   std::size_t budget = cache_.capacity() / 2;
   std::map<int, std::vector<PageId>> by_home;
   for (PageId p = first; p <= last && budget > 0; ++p) {
-    if (space.home_of(p) == id_) continue;
-    if (cache_.contains(p)) continue;
-    if (prefetch_pending_.count(p) != 0) continue;  // awaited by the main loop
-    by_home[space.home_of(p)].push_back(p);
+    if (space_.home_of(p) == id_ || cache_.contains(p)) continue;
+    by_home[space_.home_of(p)].push_back(p);
     --budget;
   }
   std::vector<net::Message> msgs;
   for (auto& [home, pages] : by_home) {
     if (pages.size() < 2) continue;  // one page = one round-trip either way
-    const std::size_t max_chunk =
-        comm.max_batch_pages > 0 ? comm.max_batch_pages : pages.size();
-    for (std::size_t i = 0; i < pages.size(); i += max_chunk) {
-      const std::size_t count = std::min(max_chunk, pages.size() - i);
-      const std::vector<PageId> chunk(
-          pages.begin() + static_cast<std::ptrdiff_t>(i),
-          pages.begin() + static_cast<std::ptrdiff_t>(i + count));
+    for (std::size_t i = 0; i < pages.size(); i += kMaxBatchPages) {
+      const std::size_t count = std::min(kMaxBatchPages, pages.size() - i);
+      const auto chunk = pages.begin() + static_cast<std::ptrdiff_t>(i);
       net::Message msg;
       msg.dst = home;
       msg.type = net::MsgType::kGetPages;
       msg.a = count;
-      msg.payload = wire::encode_pages(chunk);
+      msg.payload = wire::encode_pages(std::vector<PageId>(
+          chunk, chunk + static_cast<std::ptrdiff_t>(count)));
       msgs.push_back(std::move(msg));
-      // Per-page fetch accounting is kept (read_faults counts remote
-      // fetches regardless of how they were transported).
+      // read_faults counts remote fetches however they were transported.
       stats_.read_faults += count;
       ++stats_.bulk_fetches;
       stats_.bulk_pages_fetched += count;
     }
   }
   if (!msgs.empty()) {
-    request_all(std::move(msgs), &ThreadNode::on_pages_data);
+    request_all(std::move(msgs));
     flush_deferred_dirty();
   }
 }
 
-void ThreadNode::read_bytes(GlobalAddr a, std::byte* out, std::size_t n) {
+void Node::read_bytes(GlobalAddr a, std::byte* out, std::size_t n) {
   if (n == 0) return;
-  GlobalSpace& space = cluster_.space_;
-  const std::size_t page_bytes = space.page_bytes();
-  if (cluster_.config().comm.bulk_fetch &&
-      space.page_of(a) != space.page_of(a + n - 1)) {
-    prefault_range(a, n);
-  }
+  if (space_.page_of(a) != space_.page_of(a + n - 1)) prefault_range(a, n);
   while (n > 0) {
-    const PageId p = space.page_of(a);
-    const std::size_t off = space.offset_in_page(a);
-    const std::size_t chunk = std::min(n, page_bytes - off);
-    if (space.home_of(p) == id_) {
-      const std::scoped_lock guard(space.page_mutex(p));
-      std::memcpy(out, space.home_data(p) + off, chunk);
+    const PageId p = space_.page_of(a);
+    const std::size_t off = space_.offset_in_page(a);
+    const std::size_t chunk = std::min(n, page_bytes_ - off);
+    if (space_.home_of(p) == id_) {
+      const std::scoped_lock guard(space_.page_mutex(p));
+      std::memcpy(out, space_.home_data(p) + off, chunk);
     } else {
-      Frame* f = ensure_cached(p);
-      std::memcpy(out, f->data.data() + off, chunk);
+      Frame* f = cache_.lookup(p);
+      if (f != nullptr) ++stats_.cache_hits;
+      copy_out(p, f, off, out, chunk);
+      flush_deferred_dirty();
     }
     a += chunk;
     out += chunk;
@@ -436,24 +270,24 @@ void ThreadNode::read_bytes(GlobalAddr a, std::byte* out, std::size_t n) {
   }
 }
 
-void ThreadNode::write_bytes(GlobalAddr a, const std::byte* in, std::size_t n) {
-  GlobalSpace& space = cluster_.space_;
-  const std::size_t page_bytes = space.page_bytes();
+void Node::write_bytes(GlobalAddr a, const std::byte* in, std::size_t n) {
   while (n > 0) {
-    const PageId p = space.page_of(a);
-    const std::size_t off = space.offset_in_page(a);
-    const std::size_t chunk = std::min(n, page_bytes - off);
-    if (space.home_of(p) == id_) {
+    const PageId p = space_.page_of(a);
+    const std::size_t off = space_.offset_in_page(a);
+    const std::size_t chunk = std::min(n, page_bytes_ - off);
+    if (space_.home_of(p) == id_) {
       // The home copy is canonical: write through under the page mutex and
       // remember the page for the next write-notice propagation.
       {
-        const std::scoped_lock guard(space.page_mutex(p));
-        std::memcpy(space.home_data(p) + off, in, chunk);
+        const std::scoped_lock guard(space_.page_mutex(p));
+        std::memcpy(space_.home_data(p) + off, in, chunk);
       }
       home_written_.insert(p);
     } else {
-      Frame* f = ensure_writable_frame(p);
-      std::memcpy(f->data.data() + off, in, chunk);
+      Frame* f = cache_.lookup(p);
+      if (f != nullptr) ++stats_.cache_hits;
+      copy_in(p, f, off, in, chunk);
+      flush_deferred_dirty();
     }
     a += chunk;
     in += chunk;
@@ -464,12 +298,9 @@ void ThreadNode::write_bytes(GlobalAddr a, const std::byte* in, std::size_t n) {
 // ---------------------------------------------------------------------------
 // Release-time diff propagation.
 
-bool ThreadNode::flush_frame_diff(PageId p, Frame& frame) {
+bool Node::send_diff(PageId p, const std::byte* twin, const std::byte* data) {
   diff_scratch_.clear();
-  wire::append_diff(diff_scratch_, frame.twin, frame.data);
-  frame.twin.clear();
-  frame.twin.shrink_to_fit();
-  frame.dirty = false;
+  wire::append_diff(diff_scratch_, twin, data, page_bytes_);
   if (diff_scratch_.empty()) {
     // The page was rewritten with identical bytes: the home copy is already
     // current, so the whole round-trip (and the write notice) is dropped.
@@ -479,7 +310,7 @@ bool ThreadNode::flush_frame_diff(PageId p, Frame& frame) {
   ++stats_.diffs_sent;
   stats_.diff_bytes += diff_scratch_.size();
   net::Message msg;
-  msg.dst = cluster_.space_.home_of(p);
+  msg.dst = space_.home_of(p);
   msg.type = net::MsgType::kDiff;
   msg.a = p;
   msg.payload.assign(diff_scratch_.begin(), diff_scratch_.end());
@@ -489,27 +320,28 @@ bool ThreadNode::flush_frame_diff(PageId p, Frame& frame) {
   return true;
 }
 
-void ThreadNode::flush_all_diffs() {
+bool Node::flush_frame(PageId p, Frame& f) {
+  const bool sent = send_diff(p, f.twin.data(), frame_bytes(p, f));
+  clean(p, f);
+  return sent;
+}
+
+void Node::flush_all_diffs() {
   std::vector<PageId> dirty = cache_.dirty_pages();
   if (dirty.empty()) return;
   std::sort(dirty.begin(), dirty.end());  // deterministic wire layout
-  if (cluster_.config().comm.batch_diffs && dirty.size() > 1) {
-    flush_diffs_batched(std::move(dirty));
+  if (dirty.size() > 1) {
+    flush_diffs_batched(dirty);
     return;
   }
-  for (PageId p : dirty) {
-    Frame* f = cache_.lookup(p);
-    assert(f != nullptr && f->dirty);
-    if (flush_frame_diff(p, *f)) pending_notices_.push_back(p);
-  }
+  Frame* f = cache_.lookup(dirty.front());
+  assert(f != nullptr && f->dirty);
+  if (flush_frame(dirty.front(), *f)) pending_notices_.push_back(dirty.front());
 }
 
-void ThreadNode::flush_diffs_batched(std::vector<PageId> dirty) {
-  const CommConfig& comm = cluster_.config().comm;
-  const std::size_t max_batch =
-      comm.max_batch_pages > 0 ? comm.max_batch_pages : dirty.size();
+void Node::flush_diffs_batched(const std::vector<PageId>& dirty) {
   std::map<int, std::vector<PageId>> by_home;
-  for (PageId p : dirty) by_home[cluster_.space_.home_of(p)].push_back(p);
+  for (PageId p : dirty) by_home[space_.home_of(p)].push_back(p);
   std::vector<net::Message> msgs;
   for (auto& [home, pages] : by_home) {
     std::size_t i = 0;
@@ -518,22 +350,21 @@ void ThreadNode::flush_diffs_batched(std::vector<PageId> dirty) {
       msg.dst = home;
       msg.type = net::MsgType::kDiffBatch;
       std::uint64_t in_batch = 0;
-      for (; i < pages.size() && in_batch < max_batch; ++i) {
+      for (; i < pages.size() && in_batch < kMaxBatchPages; ++i) {
         const PageId p = pages[i];
         Frame* f = cache_.lookup(p);
         assert(f != nullptr && f->dirty);
         const std::size_t before = msg.payload.size();
-        if (wire::append_diff_batch_page(msg.payload, p, f->twin, f->data)) {
+        if (wire::append_diff_batch_page(msg.payload, p, f->twin.data(),
+                                         frame_bytes(p, *f), page_bytes_)) {
           ++in_batch;
-          ++stats_.diffs_sent;  // per-page accounting, same as the serial path
+          ++stats_.diffs_sent;  // per-page accounting, as for a single kDiff
           stats_.diff_bytes += msg.payload.size() - before - kBatchFrameHeader;
           pending_notices_.push_back(p);
         } else {
           ++stats_.empty_diffs_suppressed;
         }
-        f->twin.clear();
-        f->twin.shrink_to_fit();
-        f->dirty = false;
+        clean(p, *f);
       }
       if (in_batch > 0) {
         msg.a = in_batch;
@@ -543,13 +374,13 @@ void ThreadNode::flush_diffs_batched(std::vector<PageId> dirty) {
       }
     }
   }
-  if (!msgs.empty()) request_all(std::move(msgs), &ThreadNode::on_batch_ack);
+  if (!msgs.empty()) request_all(std::move(msgs));
 }
 
 // ---------------------------------------------------------------------------
 // Write notices.
 
-std::vector<std::byte> ThreadNode::take_notices() {
+std::vector<std::byte> Node::take_notices() {
   std::vector<PageId> notices = std::move(pending_notices_);
   pending_notices_.clear();
   notices.insert(notices.end(), home_written_.begin(), home_written_.end());
@@ -559,25 +390,21 @@ std::vector<std::byte> ThreadNode::take_notices() {
   return wire::encode_pages(notices);
 }
 
-void ThreadNode::apply_notices(const std::vector<std::byte>& payload) {
+void Node::apply_notices(const std::vector<std::byte>& payload) {
   apply_notices(wire::decode_pages(payload));
 }
 
-void ThreadNode::apply_notices(const std::vector<PageId>& pages) {
+void Node::apply_notices(const std::vector<PageId>& pages) {
   for (PageId p : pages) {
-    if (cluster_.space_.home_of(p) == id_) continue;  // home copy stays valid
-    // A read-ahead of a noticed page would deliver pre-release bytes: drop
-    // it from the in-flight set before its reply can be absorbed.
-    cancel_prefetch(p);
+    if (space_.home_of(p) == id_) continue;  // home copy stays valid
     Frame* f = cache_.lookup(p);
     if (f == nullptr) continue;
-    if (f->prefetched) ++stats_.prefetch_wasted;  // invalidated before use
     if (f->dirty) {
       // Concurrent-writer case: merge our modifications home before
       // dropping the stale copy, so no write is lost.
-      if (flush_frame_diff(p, *f)) pending_notices_.push_back(p);
+      if (flush_frame(p, *f)) pending_notices_.push_back(p);
     }
-    cache_.erase(p);
+    drop(p);
     ++stats_.invalidations;
   }
 }
@@ -585,10 +412,10 @@ void ThreadNode::apply_notices(const std::vector<PageId>& pages) {
 // ---------------------------------------------------------------------------
 // Synchronization.
 
-void ThreadNode::lock(int lock_id) {
+void Node::lock(int lock_id) {
   ++stats_.lock_acquires;
   net::Message msg;
-  msg.dst = lock_id % nodes();
+  msg.dst = lock_id % n_nodes_;
   msg.type = net::MsgType::kAcquire;
   msg.a = static_cast<std::uint64_t>(lock_id);
   net::Message grant = request(std::move(msg));
@@ -596,19 +423,19 @@ void ThreadNode::lock(int lock_id) {
   apply_notices(grant.payload);
 }
 
-void ThreadNode::unlock(int lock_id) {
+void Node::unlock(int lock_id) {
   ++stats_.lock_releases;
   flush_all_diffs();
   net::Message msg;
   msg.src = id_;
-  msg.dst = lock_id % nodes();
+  msg.dst = lock_id % n_nodes_;
   msg.type = net::MsgType::kRelease;
   msg.a = static_cast<std::uint64_t>(lock_id);
   msg.payload = take_notices();
-  cluster_.transport_.send(std::move(msg));  // release needs no reply
+  send(std::move(msg));  // release needs no reply
 }
 
-void ThreadNode::barrier() {
+void Node::barrier() {
   ++stats_.barriers;
   flush_all_diffs();
   net::Message msg;
@@ -621,36 +448,28 @@ void ThreadNode::barrier() {
   apply_notices(decoded.notices);
   for (const auto& [page, new_home] : decoded.migrations) {
     // A page that migrated HERE is now served from the home copy directly;
-    // drop any stale cached frame so reads take the home path.  An
-    // in-flight read-ahead of it (issued before the barrier) would carry
-    // the OLD home's copy — cancel it too.
-    if (new_home == id_) {
-      cancel_prefetch(page);
-      if (Frame* f = cache_.lookup(page); f != nullptr && f->prefetched) {
-        ++stats_.prefetch_wasted;
-      }
-      cache_.erase(page);
-    }
+    // drop any stale cached frame so accesses take the home path.
+    if (new_home == id_) drop(page);
   }
 }
 
-void ThreadNode::setcv(int cv_id) {
+void Node::setcv(int cv_id) {
   ++stats_.cv_signals;
   // Release semantics: make this node's writes visible to whoever wakes.
   flush_all_diffs();
   net::Message msg;
   msg.src = id_;
-  msg.dst = cv_id % nodes();
+  msg.dst = cv_id % n_nodes_;
   msg.type = net::MsgType::kSetCv;
   msg.a = static_cast<std::uint64_t>(cv_id);
   msg.payload = take_notices();
-  cluster_.transport_.send(std::move(msg));  // signal needs no reply
+  send(std::move(msg));  // signal needs no reply
 }
 
-void ThreadNode::waitcv(int cv_id) {
+void Node::waitcv(int cv_id) {
   ++stats_.cv_waits;
   net::Message msg;
-  msg.dst = cv_id % nodes();
+  msg.dst = cv_id % n_nodes_;
   msg.type = net::MsgType::kWaitCv;
   msg.a = static_cast<std::uint64_t>(cv_id);
   net::Message grant = request(std::move(msg));
@@ -658,29 +477,7 @@ void ThreadNode::waitcv(int cv_id) {
   apply_notices(grant.payload);
 }
 
-NodeStats ThreadNode::end_of_job(const std::set<PageId>& retained) {
-  // Dirty frames of a finished (or failed) program must never survive into
-  // the next job: their write notices died with the manager state.  Clean
-  // frames of retained pages are immutable service data and stay warm.
-  cache_.retain_only(retained);
-  home_written_.clear();
-  pending_notices_.clear();
-  // Read-ahead state dies with the job: replies still in flight will be
-  // dropped as stale by their never-reused ids, and the unconsumed pages
-  // count as wasted.
-  stats_.prefetch_wasted += prefetch_pending_.size();
-  prefetch_inflight_.clear();
-  prefetch_pending_.clear();
-  deferred_prefetch_.clear();
-  deferred_dirty_.clear();
-  last_faulted_page_ = ~PageId{0};
-  NodeStats out = stats_;
-  stats_ = NodeStats{};
-  account_comm_totals(out);
-  return out;
-}
-
-GlobalAddr ThreadNode::alloc(std::size_t bytes, int home) {
+GlobalAddr Node::alloc(std::size_t bytes, int home) {
   net::Message msg;
   msg.dst = 0;
   msg.type = net::MsgType::kAllocate;
@@ -689,6 +486,57 @@ GlobalAddr ThreadNode::alloc(std::size_t bytes, int home) {
   net::Message reply = request(std::move(msg));
   assert(reply.type == net::MsgType::kAllocateReply);
   return reply.a;
+}
+
+NodeStats Node::end_of_job(const std::set<PageId>& retained) {
+  // Dirty frames of a finished (or failed) program must never survive into
+  // the next job: their write notices died with the manager state.  Clean
+  // frames of retained pages are immutable service data and stay warm.
+  for (PageId p : cache_.retain_only(retained)) frame_dropped(p);
+  home_written_.clear();
+  pending_notices_.clear();
+  deferred_dirty_.clear();
+  NodeStats out = stats_;
+  stats_ = NodeStats{};
+  account_comm_totals(out);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// ThreadNode: page bytes in the frames, messages over the cluster Transport.
+
+ThreadNode::ThreadNode(Cluster& cluster, int id)
+    : Node(id, cluster.nodes(), cluster.config(), cluster.space()),
+      cluster_(cluster) {}
+
+void ThreadNode::send(net::Message msg) {
+  cluster_.transport_.send(std::move(msg));
+}
+
+net::Mailbox& ThreadNode::reply_box() {
+  return cluster_.transport_.reply_box(id_);
+}
+
+std::byte* ThreadNode::frame_bytes(PageId /*p*/, Frame& f) {
+  return f.data.data();
+}
+
+void ThreadNode::fill_frame(PageId /*p*/, Frame& f,
+                            std::vector<std::byte> data) {
+  f.data = std::move(data);
+}
+
+void ThreadNode::copy_out(PageId p, Frame* f, std::size_t off, std::byte* out,
+                          std::size_t n) {
+  if (f == nullptr) f = fetch_page(p);
+  std::memcpy(out, f->data.data() + off, n);
+}
+
+void ThreadNode::copy_in(PageId p, Frame* f, std::size_t off,
+                         const std::byte* in, std::size_t n) {
+  if (f == nullptr) f = fetch_page(p);
+  if (!f->dirty) make_twin(p, *f);
+  std::memcpy(f->data.data() + off, in, n);
 }
 
 }  // namespace gdsm::dsm

@@ -9,20 +9,23 @@
 //   jia_setcv     -> setcv()
 //   jia_waitcv    -> waitcv()
 //
-// Node is the abstract program-facing surface; the protocol state machine
-// behind it exists twice:
+// Node is the client half of the protocol, written once for both backends:
+// fetch on read fault, twin on first write, diffs to home nodes at release
+// points, write notices invalidating stale copies at acquire points
+// (home-based write-invalidate multiple-writer protocol under Scope
+// Consistency).  Multi-page reads are bulk-fetched per home (kGetPages) and
+// a release with several dirty pages ships one kDiffBatch per home, with at
+// most kWindow such requests outstanding.  The LRU frame table (PageCache)
+// is shared too, so both backends evict the same pages and count the same
+// NodeStats by construction.  A backend supplies only what really differs:
 //
-//   ThreadNode (below, the original): per-node page protections cannot exist
-//   inside a single OS process, so access to shared memory is API-mediated
-//   (read/write over an explicit PageCache) — but the protocol is the real
-//   one: fetch on read fault, twin on first write, diffs to home nodes at
-//   release points, write notices invalidating stale copies at acquire
-//   points (home-based write-invalidate multiple-writer protocol under
-//   Scope Consistency).
+//   ThreadNode (below): page bytes live in the PageCache frames and every
+//   access is API-mediated; the cluster Transport carries the messages.
 //
-//   ProcNode (src/dsm/proc): one OS process per node, pages shm_open/mmap'd,
-//   remote pages PROT_NONE and a SIGSEGV handler doing genuine
-//   fetch-on-fault / twin-on-first-write — JIAJIA's actual mechanism.
+//   ProcNode (src/dsm/proc): one OS process per node; page bytes live in
+//   mprotect-ed slots of a mapped cache region and a SIGSEGV handler does
+//   the fetch-on-fault / twin-on-first-write — JIAJIA's actual mechanism;
+//   a Plane (socket or router) carries the messages.
 //
 // One deliberate extension: setcv() performs a release (diff flush + write
 // notices attached to the signal) and waitcv() performs the matching acquire
@@ -34,13 +37,14 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <set>
 #include <type_traits>
 #include <vector>
 
+#include "dsm/config.h"
 #include "dsm/page_cache.h"
 #include "dsm/stats.h"
+#include "net/mailbox.h"
 #include "net/message.h"
 
 namespace gdsm::dsm {
@@ -54,7 +58,7 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   int id() const noexcept { return id_; }   ///< JIAJIA's jiapid
-  virtual int nodes() const noexcept = 0;
+  int nodes() const noexcept { return n_nodes_; }
 
   // -- shared memory access ------------------------------------------------
   template <typename T>
@@ -71,20 +75,19 @@ class Node {
     write_bytes(a, reinterpret_cast<const std::byte*>(&v), sizeof(T));
   }
 
-  virtual void read_bytes(GlobalAddr a, std::byte* out, std::size_t n) = 0;
-  virtual void write_bytes(GlobalAddr a, const std::byte* in,
-                           std::size_t n) = 0;
+  void read_bytes(GlobalAddr a, std::byte* out, std::size_t n);
+  void write_bytes(GlobalAddr a, const std::byte* in, std::size_t n);
 
   // -- synchronization -----------------------------------------------------
-  virtual void lock(int lock_id) = 0;
-  virtual void unlock(int lock_id) = 0;
-  virtual void barrier() = 0;
-  virtual void setcv(int cv_id) = 0;
-  virtual void waitcv(int cv_id) = 0;
+  void lock(int lock_id);
+  void unlock(int lock_id);
+  void barrier();
+  void setcv(int cv_id);
+  void waitcv(int cv_id);
 
   /// Collective-style allocation routed through node 0 (any node may call;
   /// the caller is responsible for telling the other nodes the address).
-  virtual GlobalAddr alloc(std::size_t bytes, int home = -1) = 0;
+  GlobalAddr alloc(std::size_t bytes, int home = -1);
 
   const NodeStats& stats() const noexcept { return stats_; }
 
@@ -92,119 +95,120 @@ class Node {
   /// this next to their simd kernel dispatches; see dsm_stats.dp_cells).
   void add_dp_cells(std::uint64_t cells) noexcept { stats_.dp_cells += cells; }
 
+  /// Per-job teardown for the persistent cluster, run by the cluster (not
+  /// by node programs) between jobs: sweeps the cache keeping only clean
+  /// frames of `retained` pages, clears per-interval write tracking, folds
+  /// the counters into the process-wide comm totals, and returns-and-zeroes
+  /// this node's counters.
+  NodeStats end_of_job(const std::set<PageId>& retained);
+
+  /// Outstanding kGetPages / kDiffBatch requests of one bulk exchange.
+  static constexpr std::size_t kWindow = 8;
+  /// Pages carried by one kGetPages or kDiffBatch request at most.
+  static constexpr std::size_t kMaxBatchPages = 64;
+
  protected:
-  explicit Node(int id) : id_(id) {}
+  Node(int id, int n_nodes, const DsmConfig& cfg, GlobalSpace& space);
+
+  // -- what a backend supplies ----------------------------------------------
+  virtual void send(net::Message msg) = 0;
+  virtual net::Mailbox& reply_box() = 0;
+  /// Where the cached copy of remote page `p` (frame `f`) lives.
+  virtual std::byte* frame_bytes(PageId p, Frame& f) = 0;
+  /// Stores freshly fetched contents into the new frame `f` of page `p`.
+  virtual void fill_frame(PageId p, Frame& f, std::vector<std::byte> data) = 0;
+  /// Page `p` left the cache (eviction, invalidation, end-of-job sweep).
+  virtual void frame_dropped(PageId /*p*/) {}
+  /// Page `p`'s twin was dropped at release: the next write must fault.
+  virtual void frame_cleaned(PageId /*p*/) {}
+  /// Copies between the caller and remote page `p`'s cached copy; `f` is
+  /// its frame, or null on a miss.  The backend resolves a miss with
+  /// fetch_page() and a first write with make_twin() — explicitly on
+  /// threads, from the SIGSEGV handler on process.
+  virtual void copy_out(PageId p, Frame* f, std::size_t off, std::byte* out,
+                        std::size_t n) = 0;
+  virtual void copy_in(PageId p, Frame* f, std::size_t off,
+                       const std::byte* in, std::size_t n) = 0;
+
+  /// Demand fault: one kGetPage round-trip; returns the installed frame.
+  Frame* fetch_page(PageId p);
+  /// Twin-on-first-write: snapshots the clean copy for the multiple-writer
+  /// diff and marks the frame dirty.
+  void make_twin(PageId p, Frame& f);
 
   int id_;
+  int n_nodes_;
+  const DsmConfig& cfg_;
+  GlobalSpace& space_;
+  std::size_t page_bytes_;
+  PageCache cache_;
   NodeStats stats_;
+
+ private:
+  /// A dirty frame evicted mid-request, contents copied out; its diff is
+  /// flushed at the next safe point (no blocking round-trip may run while
+  /// other replies are pending on the reply box).
+  struct DeferredDirty {
+    PageId page = 0;
+    std::vector<std::byte> data;
+    std::vector<std::byte> twin;
+  };
+
+  std::uint64_t next_request_id();
+  /// Sends one request and blocks for its reply, matched by request id.
+  /// Idempotent requests (page fetch, diff) are retransmitted per the
+  /// RetryPolicy; replies of superseded attempts count as stale_replies.
+  net::Message request(net::Message msg);
+  /// Windowed multi-request engine: keeps up to kWindow of `msgs` (all
+  /// idempotent: kGetPages / kDiffBatch) in flight, refilling as replies
+  /// are matched by id; kPagesData replies are installed in the cache.
+  void request_all(std::vector<net::Message> msgs);
+
+  /// Inserts a fetched page; an evicted dirty victim is deferred.
+  Frame* install(PageId p, std::vector<std::byte> data);
+  void drop(PageId p);
+  void clean(PageId p, Frame& f);
+
+  /// Bulk-fetch pre-pass of a multi-page read: groups the span's uncached
+  /// remote pages by home and fetches each group of >= 2 with kGetPages
+  /// (singles fall through to the demand-fault path).
+  void prefault_range(GlobalAddr a, std::size_t n);
+
+  /// Sends one page's diff to its home and awaits the ack.  Returns false —
+  /// and skips the round-trip — when the page matches its twin (rewritten
+  /// with identical data).  Callers record a write notice only on true.
+  bool send_diff(PageId p, const std::byte* twin, const std::byte* data);
+  bool flush_frame(PageId p, Frame& f);       ///< send_diff + clean
+  void flush_all_diffs();                     ///< release-time propagation
+  void flush_diffs_batched(const std::vector<PageId>& dirty);
+  void flush_deferred_dirty();
+  std::vector<std::byte> take_notices();      ///< encode + clear pending
+  void apply_notices(const std::vector<std::byte>& payload);
+  void apply_notices(const std::vector<PageId>& pages);
+
+  std::set<PageId> home_written_;     ///< modified home pages (no diff needed)
+  std::vector<PageId> pending_notices_;  ///< e.g. dirty evictions mid-interval
+  std::vector<std::byte> diff_scratch_;  ///< reused diff-encode buffer
+  std::vector<DeferredDirty> deferred_dirty_;
 };
 
-/// The in-process backend: one ThreadNode per simulated node, API-mediated
-/// page cache, mailbox transport.
+/// The in-process backend: page bytes in the PageCache frames, messages
+/// over the cluster Transport.
 class ThreadNode final : public Node {
  public:
   ThreadNode(Cluster& cluster, int id);
 
-  int nodes() const noexcept override;
-
-  void read_bytes(GlobalAddr a, std::byte* out, std::size_t n) override;
-  void write_bytes(GlobalAddr a, const std::byte* in, std::size_t n) override;
-
-  void lock(int lock_id) override;
-  void unlock(int lock_id) override;
-  void barrier() override;
-  void setcv(int cv_id) override;
-  void waitcv(int cv_id) override;
-
-  GlobalAddr alloc(std::size_t bytes, int home = -1) override;
-
  private:
-  friend class Cluster;
-
-  Frame* ensure_cached(PageId p);             ///< read-fault path
-  Frame* ensure_writable_frame(PageId p);     ///< write-fault path (twin)
-
-  /// Sends one page's diff to its home and awaits the ack.  Returns false —
-  /// and skips the round-trip entirely — when the page's bytes match the
-  /// twin (rewritten with identical data); either way the twin is dropped
-  /// and the frame is clean afterwards.  Callers record a write notice only
-  /// on true.
-  bool flush_frame_diff(PageId p, Frame& frame);
-  void flush_all_diffs();                     ///< release-time diff propagation
-  void flush_diffs_batched(std::vector<PageId> dirty);  ///< kDiffBatch path
-  std::vector<std::byte> take_notices();      ///< encode + clear pending notices
-  void apply_notices(const std::vector<std::byte>& payload);
-  void apply_notices(const std::vector<PageId>& pages);
-  net::Message request(net::Message msg);     ///< send, block on the reply box
-
-  /// Windowed multi-request engine for the batched plane: sends up to
-  /// comm.max_outstanding of `msgs` (all idempotent: kDiffBatch/kGetPages)
-  /// before the first reply must arrive, refills the window as replies are
-  /// matched by id, and feeds each matched reply to `on_reply`.  Honours the
-  /// retry policy per outstanding request; absorbs prefetch replies that
-  /// share the reply box.
-  void request_all(std::vector<net::Message> msgs,
-                   void (ThreadNode::*on_reply)(net::Message));
-
-  void on_batch_ack(net::Message reply);      ///< kDiffBatchAck (no-op check)
-  void on_pages_data(net::Message reply);     ///< insert bulk-fetched pages
-
-  /// Bulk-fetch pre-pass of a multi-page read: collects the span's uncached
-  /// remote pages, groups them by home, and fetches each group of >= 2 with
-  /// one kGetPages instead of per-page faults (singles fall through to the
-  /// normal fault path).
-  void prefault_range(GlobalAddr a, std::size_t n);
-  Frame* insert_fetched(PageId p, std::vector<std::byte> data,
-                        bool prefetched);     ///< cache insert + victim flush
-
-  // -- sequential read-ahead ----------------------------------------------
-  /// Called on a read fault at `p`: when the fault extends a forward scan,
-  /// asynchronously requests the next comm.prefetch_pages pages (grouped by
-  /// home, skipping local/cached/in-flight pages).
-  void maybe_prefetch(PageId p);
-  /// Safe-point drain: applies deferred prefetch replies, then non-blockingly
-  /// absorbs any read-ahead replies already sitting in the reply box.  Must
-  /// only run while no blocking request is outstanding.
-  void absorb_prefetch_replies();
-  /// If `p` is covered by an in-flight prefetch, blocks until that reply
-  /// lands (absorbing unrelated prefetch replies meanwhile) and returns the
-  /// frame; nullptr when no prefetch covers `p`.
-  Frame* await_prefetch(PageId p);
-  /// Handles a kPagesData reply whose id is in prefetch_inflight_.
-  void absorb_prefetch(net::Message reply);
-  /// Drops `p` from any in-flight prefetch so a stale copy is never
-  /// inserted (write-notice invalidation, home migration to this node).
-  void cancel_prefetch(PageId p);
-
-  /// Flushes dirty frames evicted while a blocking request was in flight
-  /// (their kDiff round-trip could not run re-entrantly); called at the
-  /// same safe points as absorb_prefetch_replies.
-  void flush_deferred_dirty();
-
-  /// Per-job teardown for the persistent cluster: sweeps the cache keeping
-  /// only clean frames of `retained` pages, clears per-interval write
-  /// tracking, folds the counters into the process-wide comm totals, and
-  /// returns-and-zeroes this node's counters.
-  NodeStats end_of_job(const std::set<PageId>& retained);
+  void send(net::Message msg) override;
+  net::Mailbox& reply_box() override;
+  std::byte* frame_bytes(PageId p, Frame& f) override;
+  void fill_frame(PageId p, Frame& f, std::vector<std::byte> data) override;
+  void copy_out(PageId p, Frame* f, std::size_t off, std::byte* out,
+                std::size_t n) override;
+  void copy_in(PageId p, Frame* f, std::size_t off, const std::byte* in,
+               std::size_t n) override;
 
   Cluster& cluster_;
-  PageCache cache_;
-  std::set<PageId> home_written_;     ///< modified home pages (no diff needed)
-  std::vector<PageId> pending_notices_;  ///< e.g. dirty evictions mid-interval
-
-  // -- batched data plane ---------------------------------------------------
-  std::vector<std::byte> diff_scratch_;  ///< reused diff-encode buffer
-  /// In-flight read-ahead requests: request id -> pages still wanted from
-  /// that reply (notices may cancel individual pages before it lands).
-  std::map<std::uint64_t, std::vector<PageId>> prefetch_inflight_;
-  /// Pages covered by prefetch_inflight_, for O(log n) membership tests.
-  std::set<PageId> prefetch_pending_;
-  /// Read-ahead replies that arrived while a blocking request was waiting
-  /// on the shared reply box; applied at the next safe point.
-  std::vector<net::Message> deferred_prefetch_;
-  /// Dirty frames evicted mid-request, awaiting their diff flush.
-  std::vector<std::pair<PageId, Frame>> deferred_dirty_;
-  PageId last_faulted_page_ = ~PageId{0};  ///< sequential-scan detector state
 };
 
 /// Typed view over a shared allocation; element i lives at

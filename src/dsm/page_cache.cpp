@@ -44,13 +44,13 @@ bool PageCache::erase(PageId p) {
   return true;
 }
 
-std::size_t PageCache::retain_only(const std::set<PageId>& keep) {
+std::vector<PageId> PageCache::retain_only(const std::set<PageId>& keep) {
   std::vector<PageId> drop;
   for (const auto& [p, entry] : map_) {
     if (entry.frame.dirty || keep.count(p) == 0) drop.push_back(p);
   }
   for (PageId p : drop) erase(p);
-  return drop.size();
+  return drop;
 }
 
 std::vector<PageId> PageCache::dirty_pages() const {

@@ -19,12 +19,10 @@ namespace gdsm::dsm {
 /// One cached remote page.  `twin` holds a pristine copy made at the first
 /// write after (re)validation, enabling the multiple-writer diff.
 struct Frame {
-  std::vector<std::byte> data;
+  std::vector<std::byte> data;  ///< page bytes (thread backend; the process
+                                ///< backend keeps them in a mapped slot)
   std::vector<std::byte> twin;  ///< empty while the frame is clean
   bool dirty = false;
-  bool prefetched = false;  ///< filled by read-ahead, not yet touched by the
-                            ///< application (cleared at first use; still set
-                            ///< at invalidation = the prefetch was wasted)
 };
 
 class PageCache {
@@ -35,8 +33,8 @@ class PageCache {
   /// Returns the frame for `p`, or nullptr on a miss.  Refreshes LRU order.
   Frame* lookup(PageId p);
 
-  /// Membership test that does NOT refresh LRU order (the batched data
-  /// plane probes candidate pages without marking them recently used).
+  /// Membership test that does NOT refresh LRU order (the bulk-fetch
+  /// planner probes candidate pages without marking them recently used).
   bool contains(PageId p) const { return map_.count(p) != 0; }
 
   /// Inserts a page (must not be present).  If at capacity, evicts the least
@@ -55,8 +53,8 @@ class PageCache {
   /// Drops every frame except *clean* frames of pages in `keep` (the
   /// persistent cluster's end-of-job sweep: resident read-only data stays
   /// warm, everything else reverts to the cold-cache semantics of a fresh
-  /// node).  Returns the number of frames dropped.
-  std::size_t retain_only(const std::set<PageId>& keep);
+  /// node).  Returns the pages dropped.
+  std::vector<PageId> retain_only(const std::set<PageId>& keep);
 
   /// All dirty page ids, in no particular order.
   std::vector<PageId> dirty_pages() const;

@@ -1,46 +1,26 @@
 // ProcNode: the fault-trapped node of the process backend.
 //
-// Every protocol decision here mirrors ThreadNode (src/dsm/node.cpp) —
-// message flows, counter increments, LRU behaviour, retry handling — so the
-// two backends stay bit-identical and stats-identical.  What differs is the
-// *mechanism*: access detection is the MMU (mprotect + SIGSEGV) instead of
-// explicit cache lookups, and page contents live in a mapped cache region
-// instead of per-frame vectors.
+// The protocol is dsm::Node's (src/dsm/node.cpp), shared with the thread
+// backend, so the two stay bit-identical and stats-identical by
+// construction.  What is here is the *mechanism*: access detection is the
+// MMU (mprotect + SIGSEGV) instead of explicit cache lookups, and page
+// contents live in a mapped cache region instead of per-frame vectors.
 #include "dsm/proc/proc_node.h"
 
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cassert>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
-#include "dsm/wire.h"
-
 namespace gdsm::dsm::proc {
-
-namespace {
-
-/// Payload bytes of a diff-batch frame header (u64 page + u32 record_bytes).
-constexpr std::size_t kBatchFrameHeader =
-    sizeof(PageId) + sizeof(std::uint32_t);
-
-}  // namespace
 
 ProcNode::ProcNode(int id, int n_nodes, const DsmConfig& cfg,
                    GlobalSpace& space, Plane& plane)
-    : Node(id),
-      n_nodes_(n_nodes),
-      cfg_(cfg),
-      space_(space),
-      plane_(plane),
-      page_bytes_(space.page_bytes()),
-      cache_capacity_(cfg.cache_pages) {
+    : Node(id, n_nodes, cfg, space), plane_(plane) {
   if (!space.placed()) {
     throw std::logic_error("ProcNode: requires a placed (shm) GlobalSpace");
   }
@@ -70,386 +50,64 @@ void ProcNode::protect(PageId p, int prot) const {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Frame table (exact LRU mirror of dsm::PageCache).
+std::byte* ProcNode::frame_bytes(PageId p, Frame& /*f*/) { return slot(p); }
 
-ProcNode::PFrame* ProcNode::lookup(PageId p) {
-  const auto it = table_.find(p);
-  if (it == table_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.pos);
-  return &it->second.frame;
-}
-
-bool ProcNode::contains(PageId p) const { return table_.count(p) != 0; }
-
-void ProcNode::install_page(PageId p, const std::byte* data, bool prefetched) {
-  assert(table_.count(p) == 0);
-  if (table_.size() >= cache_capacity_) {
-    const PageId victim = lru_.back();
-    const auto vit = table_.find(victim);
-    PFrame& vf = vit->second.frame;
-    ++stats_.evictions;
-    if (vf.prefetched) ++stats_.prefetch_wasted;
-    if (vf.state == PState::kWrite) {
-      // The victim's diff needs a blocking round-trip, which must not run
-      // here (installs happen inside request_all/absorb paths and the fault
-      // handler); copy the contents out and flush at the next safe point.
-      DeferredDirty d;
-      d.page = victim;
-      d.data.assign(slot(victim), slot(victim) + page_bytes_);
-      d.twin = std::move(vf.twin);
-      deferred_dirty_.push_back(std::move(d));
-    }
-    protect(victim, PROT_NONE);
-    ++stats_.pages_protected;
-    lru_.pop_back();
-    table_.erase(vit);
-  }
+void ProcNode::fill_frame(PageId p, Frame& /*f*/,
+                          std::vector<std::byte> data) {
   protect(p, PROT_READ | PROT_WRITE);
-  std::memcpy(slot(p), data, page_bytes_);
+  std::memcpy(slot(p), data.data(), page_bytes_);
   protect(p, PROT_READ);
   ++stats_.pages_mapped;
-  lru_.push_front(p);
-  Entry e;
-  e.frame.prefetched = prefetched;
-  e.pos = lru_.begin();
-  table_.emplace(p, std::move(e));
 }
 
-void ProcNode::erase_frame(PageId p) {
-  const auto it = table_.find(p);
-  if (it == table_.end()) return;
-  protect(p, PROT_NONE);
+void ProcNode::frame_dropped(PageId p) {
+  protect(p, PROT_NONE);  // the next touch faults and re-fetches
   ++stats_.pages_protected;
-  lru_.erase(it->second.pos);
-  table_.erase(it);
 }
 
-std::vector<PageId> ProcNode::dirty_pages() const {
-  std::vector<PageId> out;
-  for (const auto& [p, e] : table_) {
-    if (e.frame.state == PState::kWrite) out.push_back(p);
-  }
-  return out;
+void ProcNode::frame_cleaned(PageId p) {
+  protect(p, PROT_READ);  // next-interval writes must fault again
 }
 
-// ---------------------------------------------------------------------------
-// Request engine (mirrors ThreadNode::request / request_all).
-
-std::uint64_t ProcNode::next_request_id() {
-  return space_.shared_request_ids()->fetch_add(1, std::memory_order_relaxed) +
-         1;
+void ProcNode::copy_out(PageId p, Frame* /*f*/, std::size_t off,
+                        std::byte* out, std::size_t n) {
+  guarded_copy(out, slot(p) + off, n);  // faults when uncached
 }
 
-net::Message ProcNode::request(net::Message msg) {
-  msg.src = id_;
-  msg.c = next_request_id();
-  const std::uint64_t id = msg.c;
-  const RetryPolicy& retry = cfg_.retry;
-  const bool retryable =
-      retry.timeout_us > 0 && (msg.type == net::MsgType::kGetPage ||
-                               msg.type == net::MsgType::kDiff ||
-                               msg.type == net::MsgType::kGetPages ||
-                               msg.type == net::MsgType::kDiffBatch);
-  net::Message resend;
-  if (retryable) resend = msg;
-  plane_.send(std::move(msg));
-
-  net::Mailbox& box = plane_.reply_box();
-  if (retry.timeout_us == 0) {
-    for (;;) {
-      auto reply = box.pop();
-      if (!reply) {
-        throw std::runtime_error("DSM node: reply box closed mid-request");
-      }
-      if (reply->c != id) {
-        if (prefetch_inflight_.count(reply->c) != 0) {
-          deferred_prefetch_.push_back(*std::move(reply));
-        } else {
-          ++stats_.stale_replies;
-        }
-        continue;
-      }
-      return *std::move(reply);
-    }
-  }
-  std::uint32_t attempts = 0;
-  for (;;) {
-    const auto wait = std::chrono::microseconds(
-        retry.timeout_us +
-        static_cast<std::uint64_t>(attempts) * retry.backoff_us);
-    bool closed = false;
-    auto reply = box.pop_for(wait, &closed);
-    if (reply) {
-      if (reply->c != id) {
-        if (prefetch_inflight_.count(reply->c) != 0) {
-          deferred_prefetch_.push_back(*std::move(reply));
-        } else {
-          ++stats_.stale_replies;
-        }
-        continue;
-      }
-      return *std::move(reply);
-    }
-    if (closed) {
-      throw std::runtime_error("DSM node: reply box closed mid-request");
-    }
-    ++stats_.request_timeouts;
-    if (retryable && attempts < retry.max_retries) {
-      ++attempts;
-      ++stats_.request_retries;
-      net::Message again = resend;
-      plane_.send(std::move(again));
-    }
-  }
+void ProcNode::copy_in(PageId p, Frame* /*f*/, std::size_t off,
+                       const std::byte* in, std::size_t n) {
+  // Faults once on a clean cached page (twin), twice on an uncached one
+  // (fetch, then twin) — JIAJIA's actual write-detection sequence.
+  guarded_copy(slot(p) + off, in, n);
 }
 
-void ProcNode::request_all(std::vector<net::Message> msgs,
-                           void (ProcNode::*on_reply)(net::Message)) {
-  const CommConfig& comm = cfg_.comm;
-  const RetryPolicy& retry = cfg_.retry;
-  const std::size_t window =
-      comm.max_outstanding > 0 ? comm.max_outstanding : 1;
-
-  struct Outstanding {
-    net::Message resend;
-    std::uint32_t attempts = 0;
-  };
-  std::map<std::uint64_t, Outstanding> outstanding;
-  std::size_t next = 0;
-  auto send_next = [&] {
-    net::Message msg = std::move(msgs[next++]);
-    msg.src = id_;
-    msg.c = next_request_id();
-    Outstanding o;
-    if (retry.timeout_us > 0) o.resend = msg;
-    outstanding.emplace(msg.c, std::move(o));
-    plane_.send(std::move(msg));
-  };
-  while (next < msgs.size() && outstanding.size() < window) send_next();
-
-  net::Mailbox& box = plane_.reply_box();
-  while (!outstanding.empty()) {
-    std::optional<net::Message> reply;
-    if (retry.timeout_us == 0) {
-      reply = box.pop();
-      if (!reply) {
-        throw std::runtime_error("DSM node: reply box closed mid-request");
-      }
-    } else {
-      bool closed = false;
-      reply =
-          box.pop_for(std::chrono::microseconds(retry.timeout_us), &closed);
-      if (!reply) {
-        if (closed) {
-          throw std::runtime_error("DSM node: reply box closed mid-request");
-        }
-        ++stats_.request_timeouts;
-        for (auto& [id, o] : outstanding) {
-          if (o.attempts < retry.max_retries) {
-            ++o.attempts;
-            ++stats_.request_retries;
-            net::Message again = o.resend;
-            plane_.send(std::move(again));
-          }
-        }
-        continue;
-      }
-    }
-    const auto it = outstanding.find(reply->c);
-    if (it == outstanding.end()) {
-      if (prefetch_inflight_.count(reply->c) != 0) {
-        deferred_prefetch_.push_back(*std::move(reply));
-      } else {
-        ++stats_.stale_replies;
-      }
-      continue;
-    }
-    outstanding.erase(it);
-    (this->*on_reply)(*std::move(reply));
-    if (next < msgs.size()) send_next();
+void ProcNode::guarded_copy(std::byte* dst, const std::byte* src,
+                            std::size_t n) {
+  if (sigsetjmp(fault_jmp_, 0) != 0) {
+    set_thread_fault_sink(this);
+    throw std::runtime_error(std::move(fault_error_));
   }
-}
-
-void ProcNode::on_batch_ack(net::Message reply) {
-  assert(reply.type == net::MsgType::kDiffBatchAck);
-  (void)reply;
-}
-
-void ProcNode::on_pages_data(net::Message reply) {
-  assert(reply.type == net::MsgType::kPagesData);
-  for (const wire::PageDataSpan& span :
-       wire::decode_pages_data(reply.payload, page_bytes_)) {
-    if (contains(span.page)) continue;  // e.g. duplicate retransmit
-    install_page(span.page, reply.payload.data() + span.offset,
-                 /*prefetched=*/false);
-  }
-}
-
-void ProcNode::flush_deferred_dirty() {
-  while (!deferred_dirty_.empty()) {
-    DeferredDirty d = std::move(deferred_dirty_.back());
-    deferred_dirty_.pop_back();
-    if (flush_copied_diff(d.page, d.data.data(), d.twin.data())) {
-      pending_notices_.push_back(d.page);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sequential read-ahead (mirrors ThreadNode).
-
-void ProcNode::maybe_prefetch(PageId p) {
-  const CommConfig& comm = cfg_.comm;
-  if (table_.size() + prefetch_pending_.size() + comm.prefetch_pages + 1 >
-      cache_capacity_) {
-    return;
-  }
-  std::map<int, std::vector<PageId>> by_home;
-  for (std::uint32_t k = 1; k <= comm.prefetch_pages; ++k) {
-    const PageId q = p + k;
-    if (!space_.valid_page(q)) break;
-    if (space_.home_of(q) == id_) continue;
-    if (contains(q)) continue;
-    if (prefetch_pending_.count(q) != 0) continue;
-    by_home[space_.home_of(q)].push_back(q);
-  }
-  for (auto& [home, pages] : by_home) {
-    net::Message msg;
-    msg.src = id_;
-    msg.dst = home;
-    msg.type = net::MsgType::kGetPages;
-    msg.a = pages.size();
-    msg.c = next_request_id();
-    msg.payload = wire::encode_pages(pages);
-    stats_.prefetch_issued += pages.size();
-    for (PageId q : pages) prefetch_pending_.insert(q);
-    prefetch_inflight_.emplace(msg.c, std::move(pages));
-    plane_.send(std::move(msg));  // async: reply absorbed later
-  }
-}
-
-void ProcNode::absorb_prefetch(net::Message reply) {
-  const auto it = prefetch_inflight_.find(reply.c);
-  assert(it != prefetch_inflight_.end());
-  const std::vector<PageId> wanted = std::move(it->second);
-  prefetch_inflight_.erase(it);
-  for (const wire::PageDataSpan& span :
-       wire::decode_pages_data(reply.payload, page_bytes_)) {
-    if (std::find(wanted.begin(), wanted.end(), span.page) == wanted.end()) {
-      continue;
-    }
-    prefetch_pending_.erase(span.page);
-    if (contains(span.page)) continue;
-    install_page(span.page, reply.payload.data() + span.offset,
-                 /*prefetched=*/true);
-  }
-}
-
-void ProcNode::absorb_prefetch_replies() {
-  if (!deferred_prefetch_.empty()) {
-    std::vector<net::Message> deferred = std::move(deferred_prefetch_);
-    deferred_prefetch_.clear();
-    for (auto& msg : deferred) absorb_prefetch(std::move(msg));
-  }
-  if (!prefetch_inflight_.empty()) {
-    net::Mailbox& box = plane_.reply_box();
-    while (auto msg = box.try_pop()) {
-      if (prefetch_inflight_.count(msg->c) != 0) {
-        absorb_prefetch(*std::move(msg));
-      } else {
-        ++stats_.stale_replies;
-      }
-    }
-  }
-  flush_deferred_dirty();
-}
-
-ProcNode::PFrame* ProcNode::await_prefetch(PageId p) {
-  if (prefetch_pending_.count(p) == 0) return nullptr;
-  net::Mailbox& box = plane_.reply_box();
-  while (prefetch_pending_.count(p) != 0) {
-    auto msg = box.pop();
-    if (!msg) {
-      throw std::runtime_error("DSM node: reply box closed mid-request");
-    }
-    if (prefetch_inflight_.count(msg->c) != 0) {
-      absorb_prefetch(*std::move(msg));
-    } else {
-      ++stats_.stale_replies;
-    }
-  }
-  flush_deferred_dirty();
-  return lookup(p);
-}
-
-void ProcNode::cancel_prefetch(PageId p) {
-  if (prefetch_pending_.erase(p) == 0) return;
-  ++stats_.prefetch_wasted;
-  for (auto& [id, pages] : prefetch_inflight_) {
-    const auto it = std::find(pages.begin(), pages.end(), p);
-    if (it != pages.end()) {
-      pages.erase(it);
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Access paths.
-
-void ProcNode::pre_touch(PageId p) {
-  if (!prefetch_inflight_.empty() || !deferred_prefetch_.empty()) {
-    absorb_prefetch_replies();
-  }
-  PFrame* f = lookup(p);
-  if (f == nullptr && prefetch_pending_.count(p) != 0) f = await_prefetch(p);
-  if (f != nullptr) {
-    ++stats_.cache_hits;
-    if (f->prefetched) {
-      f->prefetched = false;
-      ++stats_.prefetch_hits;
-    }
-  }
-  // Absent: the upcoming memcpy faults and the handler fetches, counting the
-  // read fault — the miss half of ThreadNode::ensure_cached.
-}
-
-void ProcNode::post_touch(PageId p) {
-  flush_deferred_dirty();
-  const bool sequential = p == last_faulted_page_ + 1;
-  last_faulted_page_ = p;
-  if (sequential && cfg_.comm.prefetch_pages > 0) maybe_prefetch(p);
+  fault_jmp_armed_ = true;
+  std::memcpy(dst, src, n);
+  fault_jmp_armed_ = false;
 }
 
 bool ProcNode::on_fault(void* addr) {
   auto* b = static_cast<std::byte*>(addr);
   if (b < cache_base_ || b >= cache_base_ + cache_span_) return false;
   ++stats_.segv_faults;
-  const PageId p =
-      static_cast<PageId>(b - cache_base_) / slot_stride_;
+  const PageId p = static_cast<PageId>(b - cache_base_) / slot_stride_;
   try {
-    const auto it = table_.find(p);
-    if (it == table_.end()) {
+    Frame* f = cache_.lookup(p);
+    if (f == nullptr) {
       // First touch of an uncached page: demand-fetch and install read-only.
-      // A write access re-faults immediately below (the double-fault scheme),
-      // giving the same read-fault-then-write-fault accounting as
-      // ThreadNode::ensure_writable_frame.
-      ++stats_.read_faults;
-      net::Message msg;
-      msg.dst = space_.home_of(p);
-      msg.type = net::MsgType::kGetPage;
-      msg.a = p;
-      net::Message reply = request(std::move(msg));
-      install_page(p, reply.payload.data(), /*prefetched=*/false);
+      // A write access re-faults immediately (the double-fault scheme).
+      fetch_page(p);
       return true;
     }
-    PFrame& f = it->second.frame;
-    if (f.state == PState::kRead) {
+    if (!f->dirty) {
       // First write to a clean page: twin for the multiple-writer diff.
-      f.twin.assign(slot(p), slot(p) + page_bytes_);
-      f.state = PState::kWrite;
-      ++stats_.write_faults;
+      make_twin(p, *f);
       ++stats_.twins_created;
       protect(p, PROT_READ | PROT_WRITE);
       return true;
@@ -468,368 +126,6 @@ bool ProcNode::on_fault(void* addr) {
     siglongjmp(fault_jmp_, 1);
   }
   return false;
-}
-
-void ProcNode::prefault_range(GlobalAddr a, std::size_t n) {
-  const CommConfig& comm = cfg_.comm;
-  if (!prefetch_inflight_.empty() || !deferred_prefetch_.empty()) {
-    absorb_prefetch_replies();
-  }
-  const PageId first = space_.page_of(a);
-  const PageId last = space_.page_of(a + n - 1);
-  std::size_t budget = cache_capacity_ / 2;
-  std::map<int, std::vector<PageId>> by_home;
-  for (PageId p = first; p <= last && budget > 0; ++p) {
-    if (space_.home_of(p) == id_) continue;
-    if (contains(p)) continue;
-    if (prefetch_pending_.count(p) != 0) continue;
-    by_home[space_.home_of(p)].push_back(p);
-    --budget;
-  }
-  std::vector<net::Message> msgs;
-  for (auto& [home, pages] : by_home) {
-    if (pages.size() < 2) continue;
-    const std::size_t max_chunk =
-        comm.max_batch_pages > 0 ? comm.max_batch_pages : pages.size();
-    for (std::size_t i = 0; i < pages.size(); i += max_chunk) {
-      const std::size_t count = std::min(max_chunk, pages.size() - i);
-      const std::vector<PageId> chunk(
-          pages.begin() + static_cast<std::ptrdiff_t>(i),
-          pages.begin() + static_cast<std::ptrdiff_t>(i + count));
-      net::Message msg;
-      msg.dst = home;
-      msg.type = net::MsgType::kGetPages;
-      msg.a = count;
-      msg.payload = wire::encode_pages(chunk);
-      msgs.push_back(std::move(msg));
-      stats_.read_faults += count;
-      ++stats_.bulk_fetches;
-      stats_.bulk_pages_fetched += count;
-    }
-  }
-  if (!msgs.empty()) {
-    request_all(std::move(msgs), &ProcNode::on_pages_data);
-    flush_deferred_dirty();
-  }
-}
-
-void ProcNode::read_bytes(GlobalAddr a, std::byte* out, std::size_t n) {
-  if (n == 0) return;
-  if (cfg_.comm.bulk_fetch && space_.page_of(a) != space_.page_of(a + n - 1)) {
-    prefault_range(a, n);
-  }
-  while (n > 0) {
-    const PageId p = space_.page_of(a);
-    const std::size_t off = space_.offset_in_page(a);
-    const std::size_t chunk = std::min(n, page_bytes_ - off);
-    if (space_.home_of(p) == id_) {
-      const std::scoped_lock guard(space_.page_mutex(p));
-      std::memcpy(out, space_.home_data(p) + off, chunk);
-    } else {
-      pre_touch(p);
-      if (sigsetjmp(fault_jmp_, 0) != 0) {
-        set_thread_fault_sink(this);
-        throw std::runtime_error(std::move(fault_error_));
-      }
-      fault_jmp_armed_ = true;
-      std::memcpy(out, slot(p) + off, chunk);  // faults when uncached
-      fault_jmp_armed_ = false;
-      post_touch(p);
-    }
-    a += chunk;
-    out += chunk;
-    n -= chunk;
-  }
-}
-
-void ProcNode::write_bytes(GlobalAddr a, const std::byte* in, std::size_t n) {
-  while (n > 0) {
-    const PageId p = space_.page_of(a);
-    const std::size_t off = space_.offset_in_page(a);
-    const std::size_t chunk = std::min(n, page_bytes_ - off);
-    if (space_.home_of(p) == id_) {
-      {
-        const std::scoped_lock guard(space_.page_mutex(p));
-        std::memcpy(space_.home_data(p) + off, in, chunk);
-      }
-      home_written_.insert(p);
-    } else {
-      pre_touch(p);
-      if (sigsetjmp(fault_jmp_, 0) != 0) {
-        set_thread_fault_sink(this);
-        throw std::runtime_error(std::move(fault_error_));
-      }
-      fault_jmp_armed_ = true;
-      // Faults once on a clean cached page (twin), twice on an uncached one
-      // (fetch, then twin) — JIAJIA's actual write-detection sequence.
-      std::memcpy(slot(p) + off, in, chunk);
-      fault_jmp_armed_ = false;
-      post_touch(p);
-    }
-    a += chunk;
-    in += chunk;
-    n -= chunk;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Release-time diff propagation.
-
-bool ProcNode::flush_frame_diff(PageId p, PFrame& frame) {
-  diff_scratch_.clear();
-  wire::append_diff(diff_scratch_, frame.twin.data(), slot(p), page_bytes_);
-  frame.twin.clear();
-  frame.twin.shrink_to_fit();
-  frame.state = PState::kRead;
-  protect(p, PROT_READ);  // next-interval writes must fault again
-  if (diff_scratch_.empty()) {
-    ++stats_.empty_diffs_suppressed;
-    return false;
-  }
-  ++stats_.diffs_sent;
-  stats_.diff_bytes += diff_scratch_.size();
-  net::Message msg;
-  msg.dst = space_.home_of(p);
-  msg.type = net::MsgType::kDiff;
-  msg.a = p;
-  msg.payload.assign(diff_scratch_.begin(), diff_scratch_.end());
-  net::Message ack = request(std::move(msg));
-  assert(ack.type == net::MsgType::kDiffAck);
-  (void)ack;
-  return true;
-}
-
-bool ProcNode::flush_copied_diff(PageId p, const std::byte* data,
-                                 const std::byte* twin) {
-  diff_scratch_.clear();
-  wire::append_diff(diff_scratch_, twin, data, page_bytes_);
-  if (diff_scratch_.empty()) {
-    ++stats_.empty_diffs_suppressed;
-    return false;
-  }
-  ++stats_.diffs_sent;
-  stats_.diff_bytes += diff_scratch_.size();
-  net::Message msg;
-  msg.dst = space_.home_of(p);
-  msg.type = net::MsgType::kDiff;
-  msg.a = p;
-  msg.payload.assign(diff_scratch_.begin(), diff_scratch_.end());
-  net::Message ack = request(std::move(msg));
-  assert(ack.type == net::MsgType::kDiffAck);
-  (void)ack;
-  return true;
-}
-
-void ProcNode::flush_all_diffs() {
-  std::vector<PageId> dirty = dirty_pages();
-  if (dirty.empty()) return;
-  std::sort(dirty.begin(), dirty.end());  // deterministic wire layout
-  if (cfg_.comm.batch_diffs && dirty.size() > 1) {
-    flush_diffs_batched(std::move(dirty));
-    return;
-  }
-  for (PageId p : dirty) {
-    PFrame* f = lookup(p);
-    assert(f != nullptr && f->state == PState::kWrite);
-    if (flush_frame_diff(p, *f)) pending_notices_.push_back(p);
-  }
-}
-
-void ProcNode::flush_diffs_batched(std::vector<PageId> dirty) {
-  const CommConfig& comm = cfg_.comm;
-  const std::size_t max_batch =
-      comm.max_batch_pages > 0 ? comm.max_batch_pages : dirty.size();
-  std::map<int, std::vector<PageId>> by_home;
-  for (PageId p : dirty) by_home[space_.home_of(p)].push_back(p);
-  std::vector<net::Message> msgs;
-  for (auto& [home, pages] : by_home) {
-    std::size_t i = 0;
-    while (i < pages.size()) {
-      net::Message msg;
-      msg.dst = home;
-      msg.type = net::MsgType::kDiffBatch;
-      std::uint64_t in_batch = 0;
-      for (; i < pages.size() && in_batch < max_batch; ++i) {
-        const PageId p = pages[i];
-        PFrame* f = lookup(p);
-        assert(f != nullptr && f->state == PState::kWrite);
-        const std::size_t before = msg.payload.size();
-        if (wire::append_diff_batch_page(msg.payload, p, f->twin.data(),
-                                         slot(p), page_bytes_)) {
-          ++in_batch;
-          ++stats_.diffs_sent;  // per-page accounting, same as the serial path
-          stats_.diff_bytes += msg.payload.size() - before - kBatchFrameHeader;
-          pending_notices_.push_back(p);
-        } else {
-          ++stats_.empty_diffs_suppressed;
-        }
-        f->twin.clear();
-        f->twin.shrink_to_fit();
-        f->state = PState::kRead;
-        protect(p, PROT_READ);
-      }
-      if (in_batch > 0) {
-        msg.a = in_batch;
-        ++stats_.diff_batches_sent;
-        stats_.diff_pages_batched += in_batch;
-        msgs.push_back(std::move(msg));
-      }
-    }
-  }
-  if (!msgs.empty()) request_all(std::move(msgs), &ProcNode::on_batch_ack);
-}
-
-// ---------------------------------------------------------------------------
-// Write notices.
-
-std::vector<std::byte> ProcNode::take_notices() {
-  std::vector<PageId> notices = std::move(pending_notices_);
-  pending_notices_.clear();
-  notices.insert(notices.end(), home_written_.begin(), home_written_.end());
-  home_written_.clear();
-  std::sort(notices.begin(), notices.end());
-  notices.erase(std::unique(notices.begin(), notices.end()), notices.end());
-  return wire::encode_pages(notices);
-}
-
-void ProcNode::apply_notices(const std::vector<std::byte>& payload) {
-  apply_notices(wire::decode_pages(payload));
-}
-
-void ProcNode::apply_notices(const std::vector<PageId>& pages) {
-  for (PageId p : pages) {
-    if (space_.home_of(p) == id_) continue;  // home copy stays valid
-    cancel_prefetch(p);
-    const auto it = table_.find(p);
-    if (it == table_.end()) continue;
-    PFrame& f = it->second.frame;
-    if (f.prefetched) ++stats_.prefetch_wasted;  // invalidated before use
-    if (f.state == PState::kWrite) {
-      // Concurrent-writer case: merge our modifications home before
-      // dropping the stale copy, so no write is lost.
-      if (flush_frame_diff(p, f)) pending_notices_.push_back(p);
-    }
-    erase_frame(p);
-    ++stats_.invalidations;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronization.
-
-void ProcNode::lock(int lock_id) {
-  ++stats_.lock_acquires;
-  net::Message msg;
-  msg.dst = lock_id % n_nodes_;
-  msg.type = net::MsgType::kAcquire;
-  msg.a = static_cast<std::uint64_t>(lock_id);
-  net::Message grant = request(std::move(msg));
-  assert(grant.type == net::MsgType::kAcquireGrant);
-  apply_notices(grant.payload);
-}
-
-void ProcNode::unlock(int lock_id) {
-  ++stats_.lock_releases;
-  flush_all_diffs();
-  net::Message msg;
-  msg.src = id_;
-  msg.dst = lock_id % n_nodes_;
-  msg.type = net::MsgType::kRelease;
-  msg.a = static_cast<std::uint64_t>(lock_id);
-  msg.payload = take_notices();
-  plane_.send(std::move(msg));  // release needs no reply
-}
-
-void ProcNode::barrier() {
-  ++stats_.barriers;
-  flush_all_diffs();
-  net::Message msg;
-  msg.dst = 0;  // barrier owner
-  msg.type = net::MsgType::kBarrier;
-  msg.payload = take_notices();
-  net::Message grant = request(std::move(msg));
-  assert(grant.type == net::MsgType::kBarrierGrant);
-  const wire::BarrierGrant decoded = wire::decode_barrier_grant(grant.payload);
-  apply_notices(decoded.notices);
-  for (const auto& [page, new_home] : decoded.migrations) {
-    // A page that migrated HERE is now served from the home copy directly;
-    // drop any stale cached frame so accesses take the home path.
-    if (new_home == id_) {
-      cancel_prefetch(page);
-      if (const auto it = table_.find(page);
-          it != table_.end() && it->second.frame.prefetched) {
-        ++stats_.prefetch_wasted;
-      }
-      erase_frame(page);
-    }
-  }
-}
-
-void ProcNode::setcv(int cv_id) {
-  ++stats_.cv_signals;
-  // Release semantics: make this node's writes visible to whoever wakes.
-  flush_all_diffs();
-  net::Message msg;
-  msg.src = id_;
-  msg.dst = cv_id % n_nodes_;
-  msg.type = net::MsgType::kSetCv;
-  msg.a = static_cast<std::uint64_t>(cv_id);
-  msg.payload = take_notices();
-  plane_.send(std::move(msg));  // signal needs no reply
-}
-
-void ProcNode::waitcv(int cv_id) {
-  ++stats_.cv_waits;
-  net::Message msg;
-  msg.dst = cv_id % n_nodes_;
-  msg.type = net::MsgType::kWaitCv;
-  msg.a = static_cast<std::uint64_t>(cv_id);
-  net::Message grant = request(std::move(msg));
-  assert(grant.type == net::MsgType::kCvGrant);
-  apply_notices(grant.payload);
-}
-
-NodeStats ProcNode::end_of_job(const std::set<PageId>& retained) {
-  // Mirror of PageCache::retain_only: dirty frames of a finished program
-  // must never survive into the next job (their write notices died with the
-  // manager state); clean frames of retained pages stay warm.  Every dropped
-  // slot goes back to PROT_NONE so the next job re-faults it.
-  for (auto it = table_.begin(); it != table_.end();) {
-    const PageId p = it->first;
-    const bool keep =
-        it->second.frame.state == PState::kRead && retained.count(p) != 0;
-    if (keep) {
-      ++it;
-      continue;
-    }
-    protect(p, PROT_NONE);
-    ++stats_.pages_protected;
-    lru_.erase(it->second.pos);
-    it = table_.erase(it);
-  }
-  home_written_.clear();
-  pending_notices_.clear();
-  stats_.prefetch_wasted += prefetch_pending_.size();
-  prefetch_inflight_.clear();
-  prefetch_pending_.clear();
-  deferred_prefetch_.clear();
-  deferred_dirty_.clear();
-  last_faulted_page_ = ~PageId{0};
-  NodeStats out = stats_;
-  stats_ = NodeStats{};
-  account_comm_totals(out);
-  return out;
-}
-
-GlobalAddr ProcNode::alloc(std::size_t bytes, int home) {
-  net::Message msg;
-  msg.dst = 0;
-  msg.type = net::MsgType::kAllocate;
-  msg.a = bytes;
-  msg.b = static_cast<std::uint64_t>(static_cast<std::int64_t>(home));
-  net::Message reply = request(std::move(msg));
-  assert(reply.type == net::MsgType::kAllocateReply);
-  return reply.a;
 }
 
 }  // namespace gdsm::dsm::proc

@@ -1,8 +1,9 @@
 // The process backend's application-side node: JIAJIA's actual mechanism.
 //
-// Where ThreadNode mediates every shared access through an explicit
-// PageCache, ProcNode maps a *cache region* — one PROT_NONE slot per
-// possible page id — and lets the MMU detect access:
+// The protocol itself is dsm::Node's, shared with the thread backend; what
+// ProcNode adds is where page bytes live and how access is detected.  It
+// maps a *cache region* — one PROT_NONE slot per possible page id — and
+// lets the MMU detect access:
 //
 //   read of an uncached page   -> SIGSEGV -> fetch from home, install
 //                                 PROT_READ (fetch-on-fault)
@@ -12,26 +13,15 @@
 //                                 back to PROT_READ
 //   write notice at acquire    -> downgrade to PROT_NONE (invalidate)
 //
-// The protocol state machine, counters and message flows mirror ThreadNode
-// line for line — the two backends must produce bit-identical results AND
-// matching NodeStats, which the differential oracle and the dsm test suite
-// assert under GDSM_BACKEND=process.  A cold write faults twice (fetch,
-// then twin), matching ThreadNode's ensure_writable_frame accounting of one
-// read fault plus one write fault.
-//
-// Pages homed at this node are not trapped at all: they live in the shm
-// data segment (GlobalSpace placed mode) and are read/written directly
-// under the page mutex, like ThreadNode's home path.
+// A cold write faults twice (fetch, then twin), which is the thread
+// backend's one read fault plus one write fault.  Pages homed at this node
+// are not trapped at all: they live in the shm data segment (GlobalSpace
+// placed mode) and are read/written directly under the page mutex.
 #pragma once
 
 #include <setjmp.h>
 
-#include <cstdint>
-#include <list>
-#include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsm/config.h"
@@ -59,45 +49,10 @@ class ProcNode final : public Node, public FaultSink {
            Plane& plane);
   ~ProcNode() override;
 
-  int nodes() const noexcept override { return n_nodes_; }
-
-  void read_bytes(GlobalAddr a, std::byte* out, std::size_t n) override;
-  void write_bytes(GlobalAddr a, const std::byte* in, std::size_t n) override;
-
-  void lock(int lock_id) override;
-  void unlock(int lock_id) override;
-  void barrier() override;
-  void setcv(int cv_id) override;
-  void waitcv(int cv_id) override;
-
-  GlobalAddr alloc(std::size_t bytes, int home = -1) override;
-
-  /// Per-job teardown; same contract as ThreadNode::end_of_job.  In a child
-  /// process this runs right before the stats ship to the supervisor; in
-  /// the parent (node 0) the retained pages stay warm across jobs.
-  NodeStats end_of_job(const std::set<PageId>& retained);
-
   /// FaultSink: resolves a fault inside the cache region (fetch or twin).
   bool on_fault(void* addr) override;
 
  private:
-  enum class PState : std::uint8_t {
-    kRead,   ///< clean copy, slot PROT_READ
-    kWrite,  ///< twinned + dirty, slot PROT_READ|PROT_WRITE
-  };
-  struct PFrame {
-    PState state = PState::kRead;
-    bool prefetched = false;
-    std::vector<std::byte> twin;  ///< present iff state == kWrite
-  };
-  /// A dirty frame evicted mid-request: contents copied out so the slot
-  /// could be reused, diff flushed at the next safe point.
-  struct DeferredDirty {
-    PageId page = 0;
-    std::vector<std::byte> data;
-    std::vector<std::byte> twin;
-  };
-
   /// Cache slot of page p.  Slots are laid out at `slot_stride_` — the DSM
   /// page size rounded up to the OS page size — because mprotect granularity
   /// is the OS page even when the cluster runs sub-4K DSM pages.
@@ -106,81 +61,23 @@ class ProcNode final : public Node, public FaultSink {
   }
   void protect(PageId p, int prot) const;
 
-  // -- frame table: exact LRU mirror of dsm::PageCache ----------------------
-  PFrame* lookup(PageId p);          ///< refreshes recency
-  bool contains(PageId p) const;     ///< does not refresh recency
-  void install_page(PageId p, const std::byte* data, bool prefetched);
-  void erase_frame(PageId p);        ///< drop + downgrade to PROT_NONE
-  std::vector<PageId> dirty_pages() const;
+  void send(net::Message msg) override { plane_.send(std::move(msg)); }
+  net::Mailbox& reply_box() override { return plane_.reply_box(); }
+  std::byte* frame_bytes(PageId p, Frame& f) override;
+  void fill_frame(PageId p, Frame& f, std::vector<std::byte> data) override;
+  void frame_dropped(PageId p) override;
+  void frame_cleaned(PageId p) override;
+  void copy_out(PageId p, Frame* f, std::size_t off, std::byte* out,
+                std::size_t n) override;
+  void copy_in(PageId p, Frame* f, std::size_t off, const std::byte* in,
+               std::size_t n) override;
+  /// The faulting memcpy of copy_out/copy_in, with the escape hatch armed.
+  void guarded_copy(std::byte* dst, const std::byte* src, std::size_t n);
 
-  // -- request engine: mirrors ThreadNode ----------------------------------
-  std::uint64_t next_request_id();
-  net::Message request(net::Message msg);
-  void request_all(std::vector<net::Message> msgs,
-                   void (ProcNode::*on_reply)(net::Message));
-  void on_batch_ack(net::Message reply);
-  void on_pages_data(net::Message reply);
-
-  // -- access-path bookkeeping ----------------------------------------------
-  /// Userspace half of one remote-page touch, before the (possibly
-  /// faulting) memcpy: absorbs pending read-ahead, awaits a covering
-  /// prefetch, and counts the cache hit when the page is present — the
-  /// mirror of ThreadNode::ensure_cached's hit path.  The miss path is the
-  /// fault handler.
-  void pre_touch(PageId p);
-  /// After the memcpy: deferred dirty flushes, sequential-scan detection,
-  /// read-ahead issue — the tail of ThreadNode::ensure_cached.
-  void post_touch(PageId p);
-  void prefault_range(GlobalAddr a, std::size_t n);
-
-  // -- release/acquire ------------------------------------------------------
-  /// Encodes and ships one page's diff (live frame flavour); downgrades the
-  /// slot to PROT_READ and returns whether a non-empty diff went out.
-  bool flush_frame_diff(PageId p, PFrame& frame);
-  /// Deferred flavour over copied-out contents (the slot is long gone).
-  bool flush_copied_diff(PageId p, const std::byte* data,
-                         const std::byte* twin);
-  void flush_all_diffs();
-  void flush_diffs_batched(std::vector<PageId> dirty);
-  std::vector<std::byte> take_notices();
-  void apply_notices(const std::vector<std::byte>& payload);
-  void apply_notices(const std::vector<PageId>& pages);
-
-  // -- read-ahead (mirrors ThreadNode) --------------------------------------
-  void maybe_prefetch(PageId p);
-  void absorb_prefetch_replies();
-  PFrame* await_prefetch(PageId p);
-  void absorb_prefetch(net::Message reply);
-  void cancel_prefetch(PageId p);
-  void flush_deferred_dirty();
-
-  int n_nodes_;
-  const DsmConfig& cfg_;
-  GlobalSpace& space_;
   Plane& plane_;
-  std::size_t page_bytes_;
   std::size_t slot_stride_ = 0;  ///< page_bytes_ rounded up to the OS page
-  std::size_t cache_capacity_;
-
   std::byte* cache_base_ = nullptr;  ///< PROT_NONE anonymous region
   std::size_t cache_span_ = 0;       ///< max_pages * slot_stride_
-
-  struct Entry {
-    PFrame frame;
-    std::list<PageId>::iterator pos;
-  };
-  std::unordered_map<PageId, Entry> table_;
-  std::list<PageId> lru_;  ///< front = most recent, back = next victim
-
-  std::set<PageId> home_written_;
-  std::vector<PageId> pending_notices_;
-  std::vector<std::byte> diff_scratch_;
-
-  std::map<std::uint64_t, std::vector<PageId>> prefetch_inflight_;
-  std::set<PageId> prefetch_pending_;
-  std::vector<net::Message> deferred_prefetch_;
-  std::vector<DeferredDirty> deferred_dirty_;
-  PageId last_faulted_page_ = ~PageId{0};
 
   // -- fault-escape machinery (application thread only) ---------------------
   /// Armed around each potentially-faulting memcpy; when the fault handler

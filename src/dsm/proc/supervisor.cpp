@@ -1,6 +1,8 @@
 #include "dsm/proc/supervisor.h"
 
+#include <pthread.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -68,6 +70,48 @@ class ChildPlane final : public Plane {
   std::mutex write_mu_;
 };
 
+/// A helper thread of a forked node process, run on a stack the child maps
+/// itself.  In a forked child, glibc's thread-stack cache holds the stacks
+/// of the parent's other threads — the submitter's among them — and a
+/// std::thread would reuse one, overwriting the frame that the node
+/// program's by-reference captures point into.
+class ChildThread {
+ public:
+  /// A child that cannot start its helpers cannot serve: it exits, and the
+  /// parent sees the EOF as a peer failure.
+  explicit ChildThread(std::function<void()> body) : body_(std::move(body)) {
+    stack_ = ::mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (stack_ == MAP_FAILED) ::_exit(1);
+    ::mprotect(stack_, kGuardBytes, PROT_NONE);  // overflow faults, not
+                                                 // corrupts
+    pthread_attr_t attr;
+    ::pthread_attr_init(&attr);
+    ::pthread_attr_setstack(&attr, stack_, kStackBytes);
+    const int rc = ::pthread_create(&tid_, &attr, &ChildThread::run, this);
+    ::pthread_attr_destroy(&attr);
+    if (rc != 0) ::_exit(1);
+  }
+  ~ChildThread() {
+    ::pthread_join(tid_, nullptr);
+    ::munmap(stack_, kStackBytes);
+  }
+  ChildThread(const ChildThread&) = delete;
+  ChildThread& operator=(const ChildThread&) = delete;
+
+ private:
+  static constexpr std::size_t kStackBytes = 8u << 20;
+  static constexpr std::size_t kGuardBytes = 64u << 10;
+  static void* run(void* self) {
+    static_cast<ChildThread*>(self)->body_();
+    return nullptr;
+  }
+
+  std::function<void()> body_;
+  void* stack_ = nullptr;
+  pthread_t tid_{};
+};
+
 /// Entry point of a forked node process.  Three threads, mirroring one
 /// node's slice of the thread backend: a demux thread (the socket stand-in
 /// for the transport's deliver), a service thread (protocol manager), and
@@ -91,93 +135,93 @@ class ChildPlane final : public Plane {
   std::condition_variable halt_cv;
   bool halted = false;
 
-  std::thread demux([&] {
-    try {
-      for (;;) {
-        auto f = net::read_frame(fd);
-        if (!f) ::_exit(1);  // supervisor vanished
-        plane.bytes_received_.fetch_add(kFrameOverhead + f->body.size(),
-                                        std::memory_order_relaxed);
-        switch (f->kind) {
-          case net::FrameKind::kMessage: {
-            net::Message m = net::decode_message(f->body);
-            if (m.to_reply_box) {
-              plane.reply_.push(std::move(m));
-            } else {
-              plane.service_.push(std::move(m));
-            }
-            break;
-          }
-          case net::FrameKind::kAbort:
-            // Unwind: blocked requesters throw, exactly as the thread
-            // backend's abort_requests().
-            plane.reply_.close();
-            break;
-          case net::FrameKind::kHalt: {
-            net::Message stop;
-            stop.src = -1;
-            stop.dst = node;
-            stop.type = net::MsgType::kStop;
-            stop.a = 0;
-            plane.service_.push(std::move(stop));
-            {
-              const std::scoped_lock guard(halt_mu);
-              halted = true;
-            }
-            halt_cv.notify_all();
-            return;
-          }
-          default:
-            break;
-        }
-      }
-    } catch (...) {
-      ::_exit(1);  // torn frame or read error: the parent sees EOF
-    }
-  });
-
-  std::thread service([&] {
-    while (auto msg = plane.service_.pop()) {
-      if (msg->type == net::MsgType::kStop) {
-        if (msg->a == 0) break;
-        // Drain marker: everything queued before it has been handled.
-        plane.write_control(net::FrameKind::kDrained, nullptr, 0);
-        continue;
-      }
-      try {
-        manager.handle_message(*std::move(msg));
-      } catch (const std::exception& e) {
-        // A service failure (e.g. malformed diff) fails the job but keeps
-        // this loop serving so the drain handshake still completes.
-        const std::vector<std::byte> body = net::encode_error_body(
-            net::classify_error(e), std::string("DSM service: ") + e.what());
-        plane.write_control(net::FrameKind::kDone, body.data(), body.size());
-      }
-    }
-  });
-
   // kDone body: empty = success, otherwise the typed failure encoding —
   // the parent rebuilds the exception type from the kind tag.
   std::vector<std::byte> done_body;
-  set_thread_fault_sink(&node_obj);
-  try {
-    program(node_obj);
-  } catch (const std::exception& e) {
-    done_body = net::encode_error_body(net::classify_error(e), e.what());
-  } catch (...) {
-    done_body =
-        net::encode_error_body(net::ErrorKind::kUnknown, "unknown exception");
-  }
-  set_thread_fault_sink(nullptr);
-  plane.write_control(net::FrameKind::kDone, done_body.data(),
-                      done_body.size());
+  {  // the helper threads' scope: leaving it joins service, then demux
+    ChildThread demux([&] {
+      try {
+        for (;;) {
+          auto f = net::read_frame(fd);
+          if (!f) ::_exit(1);  // supervisor vanished
+          plane.bytes_received_.fetch_add(kFrameOverhead + f->body.size(),
+                                          std::memory_order_relaxed);
+          switch (f->kind) {
+            case net::FrameKind::kMessage: {
+              net::Message m = net::decode_message(f->body);
+              if (m.to_reply_box) {
+                plane.reply_.push(std::move(m));
+              } else {
+                plane.service_.push(std::move(m));
+              }
+              break;
+            }
+            case net::FrameKind::kAbort:
+              // Unwind: blocked requesters throw, exactly as the thread
+              // backend's abort_requests().
+              plane.reply_.close();
+              break;
+            case net::FrameKind::kHalt: {
+              net::Message stop;
+              stop.src = -1;
+              stop.dst = node;
+              stop.type = net::MsgType::kStop;
+              stop.a = 0;
+              plane.service_.push(std::move(stop));
+              {
+                const std::scoped_lock guard(halt_mu);
+                halted = true;
+              }
+              halt_cv.notify_all();
+              return;
+            }
+            default:
+              break;
+          }
+        }
+      } catch (...) {
+        ::_exit(1);  // torn frame or read error: the parent sees EOF
+      }
+    });
 
-  {
-    std::unique_lock<std::mutex> lk(halt_mu);
-    halt_cv.wait(lk, [&] { return halted; });
+    ChildThread service([&] {
+      while (auto msg = plane.service_.pop()) {
+        if (msg->type == net::MsgType::kStop) {
+          if (msg->a == 0) break;
+          // Drain marker: everything queued before it has been handled.
+          plane.write_control(net::FrameKind::kDrained, nullptr, 0);
+          continue;
+        }
+        try {
+          manager.handle_message(*std::move(msg));
+        } catch (const std::exception& e) {
+          // A service failure (e.g. malformed diff) fails the job but keeps
+          // this loop serving so the drain handshake still completes.
+          const std::vector<std::byte> body = net::encode_error_body(
+              net::classify_error(e), std::string("DSM service: ") + e.what());
+          plane.write_control(net::FrameKind::kDone, body.data(), body.size());
+        }
+      }
+    });
+
+    set_thread_fault_sink(&node_obj);
+    try {
+      program(node_obj);
+    } catch (const std::exception& e) {
+      done_body = net::encode_error_body(net::classify_error(e), e.what());
+    } catch (...) {
+      done_body =
+          net::encode_error_body(net::ErrorKind::kUnknown, "unknown exception");
+    }
+    set_thread_fault_sink(nullptr);
+    plane.write_control(net::FrameKind::kDone, done_body.data(),
+                        done_body.size());
+
+    {
+      std::unique_lock<std::mutex> lk(halt_mu);
+      halt_cv.wait(lk, [&] { return halted; });
+    }
   }
-  service.join();
-  demux.join();
 
   NodeStats stats = node_obj.end_of_job({});
   stats.socket_bytes_sent = plane.bytes_sent_.load(std::memory_order_relaxed);

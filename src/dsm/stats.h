@@ -48,9 +48,6 @@ struct NodeStats {
   std::uint64_t diff_pages_batched = 0;  ///< dirty pages carried by batches
   std::uint64_t bulk_fetches = 0;        ///< kGetPages demand requests sent
   std::uint64_t bulk_pages_fetched = 0;  ///< pages carried by bulk fetches
-  std::uint64_t prefetch_issued = 0;     ///< pages requested by read-ahead
-  std::uint64_t prefetch_hits = 0;       ///< faults served by a prefetch
-  std::uint64_t prefetch_wasted = 0;     ///< prefetched pages never used
   std::uint64_t empty_diffs_suppressed = 0;  ///< no-op diff round-trips skipped
 
   // -- process backend (v8; see docs/METRICS.md "dsm" section) -------------
@@ -84,9 +81,6 @@ struct NodeStats {
     diff_pages_batched += o.diff_pages_batched;
     bulk_fetches += o.bulk_fetches;
     bulk_pages_fetched += o.bulk_pages_fetched;
-    prefetch_issued += o.prefetch_issued;
-    prefetch_hits += o.prefetch_hits;
-    prefetch_wasted += o.prefetch_wasted;
     empty_diffs_suppressed += o.empty_diffs_suppressed;
     peer_failures += o.peer_failures;
     segv_faults += o.segv_faults;
@@ -98,9 +92,9 @@ struct NodeStats {
     return *this;
   }
 
-  /// Round-trips the batched plane eliminated relative to the serial plane:
-  /// extra pages riding an already-paid batch/bulk exchange, suppressed
-  /// empty diffs, and faults absorbed by read-ahead.
+  /// Round-trips the batched plane saves over one exchange per page: extra
+  /// pages riding an already-paid batch/bulk exchange, and suppressed empty
+  /// diffs.
   std::uint64_t round_trips_saved() const noexcept {
     const std::uint64_t diff_saved =
         diff_pages_batched > diff_batches_sent
@@ -108,7 +102,7 @@ struct NodeStats {
     const std::uint64_t bulk_saved =
         bulk_pages_fetched > bulk_fetches
             ? bulk_pages_fetched - bulk_fetches : 0;
-    return diff_saved + bulk_saved + empty_diffs_suppressed + prefetch_hits;
+    return diff_saved + bulk_saved + empty_diffs_suppressed;
   }
 };
 

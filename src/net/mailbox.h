@@ -35,18 +35,6 @@ class Mailbox {
     return msg;
   }
 
-  /// Non-blocking pop: a queued message if one is already there, else
-  /// nullopt immediately (open or closed alike).  The DSM prefetch layer
-  /// uses this to opportunistically absorb read-ahead replies between
-  /// blocking requests.
-  std::optional<Message> try_pop() {
-    const std::scoped_lock lock(mu_);
-    if (queue_.empty()) return std::nullopt;
-    Message msg = std::move(queue_.front());
-    queue_.pop_front();
-    return msg;
-  }
-
   /// Like pop(), but gives up after `timeout`.  Returns nullopt on timeout
   /// with *closed untouched, or on close-and-drained with *closed set true —
   /// the DSM retry layer needs to tell the two apart.

@@ -28,8 +28,7 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// per-kernel call/cell counters; throughput only under params.host_clock)
 /// and NodeStats gained dp_cells — docs/KERNELS.md.
 /// v5: every report carries the "comm" section (data-plane mode plus the
-/// batched-plane counters: diff batches, bulk fetches, prefetch hits/wasted,
-/// suppressed empty diffs, round_trips_saved) and NodeStats gained the same
+/// batched-plane and read-ahead counters) and NodeStats gained the same
 /// per-node counters — docs/METRICS.md "comm".
 /// v6: affine (Gotoh) gap support — the "kernel" section gained the
 /// nw_affine counters and a "gap_models" object naming the gap models the
@@ -53,13 +52,14 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// query-profile kernels").
 /// v10: cascaded seed-and-extend db scan — the "db" section gained
 /// fragments_resolved and a "cascade" object (seeds, chains, extensions,
-/// dp_skipped_by_bound, dp_confirmed, index_mmap_hits) covering the
-/// certified middle stage and the persisted mmap q-gram index
+/// dp_skipped_by_bound, dp_confirmed and a persisted-index open count)
+/// covering the certified middle stage and the persisted mmap q-gram index
 /// (docs/METRICS.md "db.cascade", docs/SERVICE.md "Cascade").
-inline constexpr int kSchemaVersion = 10;
-/// Oldest schema version tools still accept (v3 files predate the kernel
-/// and comm sections but are otherwise field-compatible).
-inline constexpr int kSchemaVersionMin = 3;
+/// v11: one DSM data plane — the "comm" section lost "mode" and the
+/// read-ahead counters (NodeStats too), and the persisted-index open count
+/// moved out of the per-query cascade funnel to "db.index_opens".  Tools
+/// accept the current version only (docs/METRICS.md v11).
+inline constexpr int kSchemaVersion = 11;
 
 /// Schema of the merged baseline produced by tools/merge_reports.
 inline constexpr const char* kBaselineSchema = "gdsm.baseline";

@@ -57,9 +57,6 @@ Json to_json(const dsm::NodeStats& ns) {
   j.set("diff_pages_batched", ns.diff_pages_batched);
   j.set("bulk_fetches", ns.bulk_fetches);
   j.set("bulk_pages_fetched", ns.bulk_pages_fetched);
-  j.set("prefetch_issued", ns.prefetch_issued);
-  j.set("prefetch_hits", ns.prefetch_hits);
-  j.set("prefetch_wasted", ns.prefetch_wasted);
   j.set("empty_diffs_suppressed", ns.empty_diffs_suppressed);
   j.set("peer_failures", ns.peer_failures);
   j.set("segv_faults", ns.segv_faults);
@@ -163,14 +160,10 @@ Json kernel_stats_json(bool host_clock) {
 Json comm_stats_json() {
   const dsm::NodeStats totals = dsm::comm_totals();
   Json j = Json::object();
-  j.set("mode", dsm::comm_mode_name(dsm::default_comm()));
   j.set("diff_batches_sent", totals.diff_batches_sent);
   j.set("diff_pages_batched", totals.diff_pages_batched);
   j.set("bulk_fetches", totals.bulk_fetches);
   j.set("bulk_pages_fetched", totals.bulk_pages_fetched);
-  j.set("prefetch_issued", totals.prefetch_issued);
-  j.set("prefetch_hits", totals.prefetch_hits);
-  j.set("prefetch_wasted", totals.prefetch_wasted);
   j.set("empty_diffs_suppressed", totals.empty_diffs_suppressed);
   j.set("round_trips_saved", totals.round_trips_saved());
   return j;
@@ -185,13 +178,13 @@ Json db_stats_json() {
   j.set("fragments_aligned", s.fragments_aligned);
   j.set("filtration_rate", s.filtration_rate());
   j.set("hits", s.hits);
+  j.set("index_opens", s.index_opens);
   Json cascade = Json::object();
   cascade.set("seeds", s.cascade.seeds);
   cascade.set("chains", s.cascade.chains);
   cascade.set("extensions", s.cascade.extensions);
   cascade.set("dp_skipped_by_bound", s.cascade.dp_skipped_by_bound);
   cascade.set("dp_confirmed", s.cascade.dp_confirmed);
-  cascade.set("index_mmap_hits", s.cascade.index_mmap_hits);
   j.set("cascade", std::move(cascade));
   Json balance = Json::object();
   Json bases = Json::array();

@@ -46,15 +46,14 @@ Json space_usage_json(const dsm::GlobalSpace& space);
 /// deterministically, wall-clock inside the kernels does not.
 Json kernel_stats_json(bool host_clock);
 
-/// {mode, diff_batches_sent, diff_pages_batched, bulk_fetches,
-/// bulk_pages_fetched, prefetch_issued, prefetch_hits, prefetch_wasted,
-/// empty_diffs_suppressed, round_trips_saved} — the DSM data-plane mode the
-/// process defaults to (GDSM_COMM) plus the batched-plane totals since
-/// process start (dsm::comm_totals()).
+/// {diff_batches_sent, diff_pages_batched, bulk_fetches, bulk_pages_fetched,
+/// empty_diffs_suppressed, round_trips_saved} — the batched data-plane
+/// totals since process start (dsm::comm_totals()).
 Json comm_stats_json();
 
 /// {queries, fragments_scanned, fragments_rejected, fragments_aligned,
-/// filtration_rate, hits, shard_balance: {node_bases: [...],
+/// filtration_rate, hits, index_opens, cascade: {...},
+/// shard_balance: {node_bases: [...],
 /// node_aligned: [...]}} — the database-serving totals since process start
 /// (db::db_meter_snapshot()): how many fragments the q-gram filter rejected
 /// before DP and how evenly the sharded scan spread over the cluster.

@@ -1,5 +1,6 @@
 #include "obs/validate.h"
 
+#include <initializer_list>
 #include <string>
 
 #include "obs/report.h"
@@ -28,6 +29,107 @@ bool any_positive_read_faults(const Json& j) {
   }
 }
 
+/// Empty when `obj` (at `path`) carries every key in `keys` as a number,
+/// else the reason naming the first one missing.
+std::string require_numbers(const Json& obj, const std::string& path,
+                            std::initializer_list<const char*> keys) {
+  for (const char* k : keys) {
+    const Json* counter = obj.find(k);
+    if (counter == nullptr || !counter->is_number()) {
+      return path + "." + k + " missing or not a number";
+    }
+  }
+  return {};
+}
+
+/// The sections every current report carries (docs/METRICS.md).
+std::string validate_sections(const Json* sections) {
+  const auto section = [&](const char* name) -> const Json* {
+    const Json* s = sections != nullptr ? sections->find(name) : nullptr;
+    return s != nullptr && s->is_object() ? s : nullptr;
+  };
+
+  // kernel: the dispatched backend, the per-kernel counter blocks, the gap
+  // models dispatched and the striped precision-ladder counters.
+  const Json* kernel = section("kernel");
+  if (kernel == nullptr) return "report without sections.kernel";
+  const Json* backend = kernel->find("backend");
+  if (backend == nullptr || !backend->is_string() ||
+      backend->as_string().empty()) {
+    return "sections.kernel.backend missing or empty";
+  }
+  for (const char* k : {"best", "count", "hits", "nw", "nw_affine"}) {
+    const Json* counters = kernel->find(k);
+    if (counters == nullptr || !counters->is_object() ||
+        counters->find("calls") == nullptr ||
+        counters->find("cells") == nullptr) {
+      return std::string("sections.kernel.") + k + " missing calls/cells";
+    }
+  }
+  const Json* gaps = kernel->find("gap_models");
+  if (gaps == nullptr || !gaps->is_object()) {
+    return "report without sections.kernel.gap_models";
+  }
+  const Json* striped = kernel->find("striped");
+  if (striped == nullptr || !striped->is_object()) {
+    return "report without sections.kernel.striped";
+  }
+  std::string why = require_numbers(
+      *striped, "sections.kernel.striped",
+      {"sweeps8", "sweeps16", "cells8", "cells16", "overflow_reruns",
+       "fallback32", "delegated", "profile_builds", "profile_hits"});
+  if (!why.empty()) return why;
+
+  // comm: the batched data-plane totals.
+  const Json* comm = section("comm");
+  if (comm == nullptr) return "report without sections.comm";
+  why = require_numbers(*comm, "sections.comm",
+                        {"diff_batches_sent", "diff_pages_batched",
+                         "bulk_fetches", "bulk_pages_fetched",
+                         "empty_diffs_suppressed", "round_trips_saved"});
+  if (!why.empty()) return why;
+
+  // db: filtration totals, index opens, shard balance and the cascade funnel.
+  const Json* db = section("db");
+  if (db == nullptr) return "report without sections.db";
+  why = require_numbers(*db, "sections.db",
+                        {"queries", "fragments_scanned", "fragments_rejected",
+                         "fragments_aligned", "filtration_rate", "hits",
+                         "index_opens"});
+  if (!why.empty()) return why;
+  const Json* balance = db->find("shard_balance");
+  if (balance == nullptr || !balance->is_object() ||
+      balance->find("node_bases") == nullptr ||
+      !balance->find("node_bases")->is_array() ||
+      balance->find("node_aligned") == nullptr ||
+      !balance->find("node_aligned")->is_array()) {
+    return "report without sections.db.shard_balance node_bases/"
+           "node_aligned arrays";
+  }
+  const Json* cascade = db->find("cascade");
+  if (cascade == nullptr || !cascade->is_object()) {
+    return "report without sections.db.cascade";
+  }
+  why = require_numbers(*cascade, "sections.db.cascade",
+                        {"seeds", "chains", "extensions",
+                         "dp_skipped_by_bound", "dp_confirmed"});
+  if (!why.empty()) return why;
+
+  // dsm: the execution backend and the process-backend counters.
+  const Json* dsm = section("dsm");
+  if (dsm == nullptr) return "report without sections.dsm";
+  const Json* dsm_backend = dsm->find("backend");
+  if (dsm_backend == nullptr || !dsm_backend->is_string() ||
+      (dsm_backend->as_string() != "threads" &&
+       dsm_backend->as_string() != "process")) {
+    return "sections.dsm.backend missing or not threads|process";
+  }
+  return require_numbers(
+      *dsm, "sections.dsm",
+      {"peer_failures", "segv_faults", "pages_mapped", "pages_protected",
+       "twins_created", "socket_bytes_sent", "socket_bytes_received"});
+}
+
 }  // namespace
 
 std::string validate_run_report(const Json& doc, bool require_read_faults) {
@@ -41,10 +143,8 @@ std::string validate_run_report(const Json& doc, bool require_read_faults) {
     return "schema is not " + std::string(kReportSchema);
   }
   if (!doc.at("schema_version").is_number() ||
-      doc.at("schema_version").as_int() < kSchemaVersionMin ||
-      doc.at("schema_version").as_int() > kSchemaVersion) {
-    return "schema_version outside [" + std::to_string(kSchemaVersionMin) +
-           ", " + std::to_string(kSchemaVersion) + "]";
+      doc.at("schema_version").as_int() != kSchemaVersion) {
+    return "schema_version is not " + std::to_string(kSchemaVersion);
   }
   if (doc.at("experiment").as_string().empty()) {
     return "empty experiment id";
@@ -68,166 +168,9 @@ std::string validate_run_report(const Json& doc, bool require_read_faults) {
     }
   }
 
-  if (doc.at("schema_version").as_int() >= 4) {
-    // v4: the kernel section names the dispatched backend and carries the
-    // four per-kernel counter blocks.
-    const Json* sections = doc.find("sections");
-    const Json* kernel = sections ? sections->find("kernel") : nullptr;
-    if (kernel == nullptr || !kernel->is_object()) {
-      return "v4 report without sections.kernel";
-    }
-    const Json* backend = kernel->find("backend");
-    if (backend == nullptr || !backend->is_string() ||
-        backend->as_string().empty()) {
-      return "sections.kernel.backend missing or empty";
-    }
-    for (const char* k : {"best", "count", "hits", "nw"}) {
-      const Json* counters = kernel->find(k);
-      if (counters == nullptr || !counters->is_object() ||
-          counters->find("calls") == nullptr ||
-          counters->find("cells") == nullptr) {
-        return std::string("sections.kernel.") + k + " missing calls/cells";
-      }
-    }
-  }
-
-  if (doc.at("schema_version").as_int() >= 5) {
-    // v5: the comm section names the DSM data-plane mode and carries the
-    // batched-plane counters.
-    const Json* sections = doc.find("sections");
-    const Json* comm = sections ? sections->find("comm") : nullptr;
-    if (comm == nullptr || !comm->is_object()) {
-      return "v5 report without sections.comm";
-    }
-    const Json* mode = comm->find("mode");
-    if (mode == nullptr || !mode->is_string() || mode->as_string().empty()) {
-      return "sections.comm.mode missing or empty";
-    }
-    for (const char* k :
-         {"diff_batches_sent", "diff_pages_batched", "bulk_fetches",
-          "bulk_pages_fetched", "prefetch_issued", "prefetch_hits",
-          "prefetch_wasted", "empty_diffs_suppressed", "round_trips_saved"}) {
-      const Json* counter = comm->find(k);
-      if (counter == nullptr || !counter->is_number()) {
-        return std::string("sections.comm.") + k + " missing or not a number";
-      }
-    }
-  }
-
-  if (doc.at("schema_version").as_int() >= 6) {
-    // v6: affine gap support — the kernel section must carry the nw_affine
-    // counter block and the gap_models marker object.
-    const Json* sections = doc.find("sections");
-    const Json* kernel = sections ? sections->find("kernel") : nullptr;
-    const Json* nw_affine =
-        kernel != nullptr ? kernel->find("nw_affine") : nullptr;
-    if (nw_affine == nullptr || !nw_affine->is_object() ||
-        nw_affine->find("calls") == nullptr ||
-        nw_affine->find("cells") == nullptr) {
-      return "v6 report without sections.kernel.nw_affine calls/cells "
-             "(affine gap-model counters; see docs/METRICS.md v6)";
-    }
-    const Json* gaps = kernel->find("gap_models");
-    if (gaps == nullptr || !gaps->is_object()) {
-      return "v6 report without sections.kernel.gap_models (gap-model "
-             "field required from schema v6; see docs/METRICS.md)";
-    }
-  }
-
-  if (doc.at("schema_version").as_int() >= 7) {
-    // v7: database serving — the db section carries the filtration totals
-    // and the shard_balance arrays.
-    const Json* sections = doc.find("sections");
-    const Json* db = sections ? sections->find("db") : nullptr;
-    if (db == nullptr || !db->is_object()) {
-      return "v7 report without sections.db (database-serving counters; "
-             "see docs/METRICS.md v7)";
-    }
-    for (const char* k : {"queries", "fragments_scanned", "fragments_rejected",
-                          "fragments_aligned", "filtration_rate", "hits"}) {
-      const Json* counter = db->find(k);
-      if (counter == nullptr || !counter->is_number()) {
-        return std::string("sections.db.") + k + " missing or not a number";
-      }
-    }
-    const Json* balance = db->find("shard_balance");
-    if (balance == nullptr || !balance->is_object() ||
-        balance->find("node_bases") == nullptr ||
-        !balance->find("node_bases")->is_array() ||
-        balance->find("node_aligned") == nullptr ||
-        !balance->find("node_aligned")->is_array()) {
-      return "v7 report without sections.db.shard_balance node_bases/"
-             "node_aligned arrays";
-    }
-  }
-
-  if (doc.at("schema_version").as_int() >= 8) {
-    // v8: multi-process DSM backend — the dsm section names the execution
-    // backend and carries the process-backend counters.
-    const Json* sections = doc.find("sections");
-    const Json* dsm = sections ? sections->find("dsm") : nullptr;
-    if (dsm == nullptr || !dsm->is_object()) {
-      return "v8 report without sections.dsm (DSM backend counters; "
-             "see docs/METRICS.md v8)";
-    }
-    const Json* backend = dsm->find("backend");
-    if (backend == nullptr || !backend->is_string() ||
-        (backend->as_string() != "threads" &&
-         backend->as_string() != "process")) {
-      return "sections.dsm.backend missing or not threads|process";
-    }
-    for (const char* k :
-         {"peer_failures", "segv_faults", "pages_mapped", "pages_protected",
-          "twins_created", "socket_bytes_sent", "socket_bytes_received"}) {
-      const Json* counter = dsm->find(k);
-      if (counter == nullptr || !counter->is_number()) {
-        return std::string("sections.dsm.") + k + " missing or not a number";
-      }
-    }
-  }
-
-  if (doc.at("schema_version").as_int() >= 9) {
-    // v9: striped query-profile kernels — the kernel section carries the
-    // striped activity object (precision-ladder and profile-cache counters).
-    const Json* sections = doc.find("sections");
-    const Json* kernel = sections ? sections->find("kernel") : nullptr;
-    const Json* striped =
-        kernel && kernel->is_object() ? kernel->find("striped") : nullptr;
-    if (striped == nullptr || !striped->is_object()) {
-      return "v9 report without sections.kernel.striped (striped-kernel "
-             "counters; see docs/METRICS.md v9)";
-    }
-    for (const char* k :
-         {"sweeps8", "sweeps16", "cells8", "cells16", "overflow_reruns",
-          "fallback32", "delegated", "profile_builds", "profile_hits"}) {
-      const Json* counter = striped->find(k);
-      if (counter == nullptr || !counter->is_number()) {
-        return std::string("sections.kernel.striped.") + k +
-               " missing or not a number";
-      }
-    }
-  }
-
-  if (doc.at("schema_version").as_int() >= 10) {
-    // v10: cascaded seed-and-extend db scan — the db section carries the
-    // cascade funnel counters.
-    const Json* sections = doc.find("sections");
-    const Json* db = sections ? sections->find("db") : nullptr;
-    const Json* cascade =
-        db && db->is_object() ? db->find("cascade") : nullptr;
-    if (cascade == nullptr || !cascade->is_object()) {
-      return "v10 report without sections.db.cascade (seed-and-extend "
-             "funnel counters; see docs/METRICS.md v10)";
-    }
-    for (const char* k : {"seeds", "chains", "extensions",
-                          "dp_skipped_by_bound", "dp_confirmed",
-                          "index_mmap_hits"}) {
-      const Json* counter = cascade->find(k);
-      if (counter == nullptr || !counter->is_number()) {
-        return std::string("sections.db.cascade.") + k +
-               " missing or not a number";
-      }
-    }
+  if (std::string why = validate_sections(doc.find("sections"));
+      !why.empty()) {
+    return why;
   }
 
   if (require_read_faults && !any_positive_read_faults(doc)) {

@@ -12,10 +12,9 @@
 
 namespace gdsm::obs {
 
-/// Checks `doc` against the gdsm.run_report schema, honouring the
-/// document's own schema_version: versioned sections (v4 kernel, v5 comm,
-/// v6 affine gap-model fields) are required from their introducing version
-/// on.  Accepts versions [kSchemaVersionMin, kSchemaVersion].
+/// Checks `doc` against the current gdsm.run_report schema: schema_version
+/// must equal kSchemaVersion and every section (kernel, comm, db, dsm) must
+/// carry its fields.  Older reports are regenerated, not validated.
 ///
 /// Returns the empty string when the document is valid, otherwise a
 /// one-line human-readable reason (the CLI prints it verbatim).

@@ -75,8 +75,7 @@ std::string DbOracleCase::to_string() const {
   if (scheme.affine()) {
     os << "(" << scheme.gap_open << "," << scheme.gap << ")";
   }
-  os << " comm=" << dsm::comm_mode_name(comm)
-     << " faults=" << faults.to_string();
+  os << " faults=" << faults.to_string();
   return os.str();
 }
 
@@ -101,7 +100,6 @@ DbOracleVerdict run_db_differential(const DbOracleCase& c) {
 
   dsm::DsmConfig dsm_cfg;
   dsm_cfg.retry = c.retry;
-  dsm_cfg.comm = c.comm;
   dsm_cfg.faults = c.faults;
   dsm::Cluster cluster(c.nprocs, dsm_cfg);
   const db::DbShards shards(cluster, db);

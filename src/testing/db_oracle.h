@@ -2,8 +2,8 @@
 //
 // db_query (src/db/db_align.h) claims exactness: filtration plus the
 // shard-parallel scan returns hit-for-hit what the serial all-pairs
-// reference brute_force_hits returns, for either gap model, under any
-// comm-plane mode and any injected fault plan.  The oracle fuzzes that
+// reference brute_force_hits returns, for either gap model, on either DSM
+// backend and under any injected fault plan.  The oracle fuzzes that
 // claim: it generates a seeded database and query mix (random probes plus
 // mutated copies of database windows, so both filtration outcomes are
 // exercised), runs every query through both paths on a live cluster, and
@@ -35,10 +35,9 @@ struct DbOracleCase {
   ScoreScheme scheme{};
   int min_score = 30;
   dsm::RetryPolicy retry{};
-  dsm::CommConfig comm{};
   net::FaultPlan faults{};
 
-  /// "seed=N db=SxL queries=QxM procs=P min=K comm=<mode> faults=<plan>"
+  /// "seed=N db=SxL queries=QxM procs=P min=K gap=<model> faults=<plan>"
   /// (the repro line).
   std::string to_string() const;
 };
@@ -57,7 +56,7 @@ struct DbOracleVerdict {
 };
 
 /// Builds the deterministic database + query mix of `c`, stands up a
-/// cluster with the case's comm/retry/fault configuration, and compares
+/// cluster with the case's retry/fault configuration, and compares
 /// db_query against brute_force_hits on every query.
 DbOracleVerdict run_db_differential(const DbOracleCase& c);
 

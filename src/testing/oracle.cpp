@@ -73,8 +73,7 @@ std::string OracleCase::to_string() const {
   if (scheme.affine()) {
     os << "(" << scheme.gap_open << "," << scheme.gap << ")";
   }
-  os << " comm=" << dsm::comm_mode_name(comm)
-     << " faults=" << faults.to_string();
+  os << " faults=" << faults.to_string();
   return os.str();
 }
 
@@ -145,7 +144,6 @@ OracleVerdict run_differential(const OracleCase& c, unsigned mask) {
     cfg.scheme = c.scheme;
     cfg.params = c.params;
     cfg.dsm.retry = c.retry;
-    cfg.dsm.comm = c.comm;
     cfg.dsm.faults = c.faults;
     const core::StrategyResult r = core::wavefront_align(pair.s, pair.t, cfg);
     judge_heuristic(o, reference, r.candidates);
@@ -160,7 +158,6 @@ OracleVerdict run_differential(const OracleCase& c, unsigned mask) {
     cfg.scheme = c.scheme;
     cfg.params = c.params;
     cfg.dsm.retry = c.retry;
-    cfg.dsm.comm = c.comm;
     cfg.dsm.faults = c.faults;
     const core::StrategyResult r = core::blocked_align(pair.s, pair.t, cfg);
     judge_heuristic(o, reference, r.candidates);

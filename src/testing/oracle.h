@@ -43,13 +43,12 @@ struct OracleCase {
   ScoreScheme scheme{};
   HeuristicParams params{};
   dsm::RetryPolicy retry{};    ///< DSM reply timeout/retransmit policy
-  dsm::CommConfig comm{};      ///< data-plane aggregation knobs under test
   net::FaultPlan faults{};     ///< simulated interconnect misbehaviour
 
   /// The deterministic genome pair of this case.
   HomologousPair make_pair() const;
 
-  /// "seed=N len=AxB regions=R procs=P comm=<mode> faults=<plan>" (the
+  /// "seed=N len=AxB regions=R procs=P gap=<model> faults=<plan>" (the
   /// repro line).
   std::string to_string() const;
 };

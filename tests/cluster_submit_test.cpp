@@ -350,10 +350,6 @@ TEST(ClusterScratch, ConcurrentSubmittersShareThePool) {
   // Several host threads allocate, submit and release scratch at once, as
   // a service's workers do: allocation and zero-fill race the running
   // job's service threads, and releases run on the cluster's engine.
-  if (DsmConfig{}.backend == Backend::kProcess) {
-    GTEST_SKIP() << "the process backend fails jobs submitted from a "
-                    "non-main thread (ROADMAP item 5)";
-  }
   Rng rng(1504);
   const Sequence t = random_dna(600, rng, "subject");
   std::vector<Sequence> probes;

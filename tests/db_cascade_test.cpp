@@ -257,29 +257,9 @@ TEST(BoundBatch, MatchesScalarBoundLaneForLane) {
 
 // ------------------------------------------------- differential oracle --
 
-// The three data-plane modes GDSM_COMM selects between (same rotation as
-// tests/db_test.cpp).
-dsm::CommConfig comm_mode(int which) {
-  dsm::CommConfig comm;
-  switch (which % 3) {
-    case 0:
-      comm.batch_diffs = false;
-      comm.bulk_fetch = false;
-      comm.prefetch_pages = 0;
-      break;
-    case 1:
-      comm.prefetch_pages = 0;
-      break;
-    default:
-      comm.prefetch_pages = 4;
-      break;
-  }
-  return comm;
-}
-
 // >= 1000 fuzzed queries through the full db_query pipeline against
 // brute_force_hits, rotating cascade on/off, the direct-align vs cluster
-// resolution path, gap model, comm mode and threshold regime.  Identity of
+// resolution path, gap model and threshold regime.  Identity of
 // the on and off hit sets follows: both must equal the brute-force oracle.
 TEST(DbCascadeOracle, FuzzedOnOffAndClusterPathsMatchBruteForce) {
   std::size_t compared = 0;
@@ -292,14 +272,13 @@ TEST(DbCascadeOracle, FuzzedOnOffAndClusterPathsMatchBruteForce) {
     c.n_queries = 25;
     c.query_len = 100;
     c.nprocs = (seed % 2 == 0) ? 4 : 3;
-    c.comm = comm_mode(static_cast<int>(seed));
     if (seed % 2 == 0) {
       c.scheme.gap_open = -3;
       c.scheme.gap = -1;
     }
     c.db_cfg.cascade = (seed % 4) < 2;
     // direct_align_max = 0 forces every forwarded candidate through the
-    // cluster SPMD path, so certified resolutions mix with both comm modes.
+    // cluster SPMD path, so certified resolutions mix with DSM traffic.
     c.db_cfg.direct_align_max = (seed % 3 == 0) ? 0 : 8;
     c.min_score = (seed % 3 == 0) ? 25 : (seed % 3 == 1 ? 45 : 80);
     const testing::DbOracleVerdict v = run_db_differential(c);

@@ -1,7 +1,7 @@
 // Database-serving tests: fragment partitioning, exact filtration, the
 // sharded scan against its serial all-pairs oracle (>= 1000 fuzzed
-// query/database cases across gap models, comm-plane modes and an injected
-// fault plan), and the service path (load_db admission, batching, verify
+// query/database cases across gap models and an injected fault plan), and
+// the service path (load_db admission, batching, verify
 // mode, error reporting).
 #include <gtest/gtest.h>
 
@@ -44,25 +44,6 @@ Sequence make_probe(const Sequence& src, std::size_t begin, std::size_t len,
 Sequence make_random_probe(std::size_t len, std::uint64_t seed) {
   Rng rng(seed);
   return random_dna(len, rng, "probe");
-}
-
-// The three data-plane modes GDSM_COMM selects between.
-dsm::CommConfig comm_mode(int which) {
-  dsm::CommConfig comm;
-  switch (which % 3) {
-    case 0:  // legacy: serial one-page-per-message plane
-      comm.batch_diffs = false;
-      comm.bulk_fetch = false;
-      comm.prefetch_pages = 0;
-      break;
-    case 1:  // batched coalescing only
-      comm.prefetch_pages = 0;
-      break;
-    default:  // batched+prefetch
-      comm.prefetch_pages = 4;
-      break;
-  }
-  return comm;
 }
 
 // ----------------------------------------------------------- SubjectDb --
@@ -134,8 +115,8 @@ TEST(SubjectDb, FilterRejectsOnlyProvablyHopelessFragments) {
 // ------------------------------------------------- differential oracle --
 
 // The acceptance sweep: >= 1000 fuzzed (query, database) comparisons of
-// db_query against brute_force_hits, rotating gap model, comm mode and
-// report threshold so filtration is exercised both when it bites and when
+// db_query against brute_force_hits, rotating gap model and report
+// threshold so filtration is exercised both when it bites and when
 // it passes everything through.
 TEST(DbOracle, FuzzedQueriesMatchBruteForce) {
   std::size_t compared = 0;
@@ -148,7 +129,6 @@ TEST(DbOracle, FuzzedQueriesMatchBruteForce) {
     c.n_queries = 25;
     c.query_len = 100;
     c.nprocs = (seed % 2 == 0) ? 4 : 3;
-    c.comm = comm_mode(static_cast<int>(seed));
     if (seed % 2 == 0) {
       c.scheme.gap_open = -3;
       c.scheme.gap = -1;
@@ -165,18 +145,6 @@ TEST(DbOracle, FuzzedQueriesMatchBruteForce) {
   }
   EXPECT_GE(compared, 1000u);
   EXPECT_GT(rejected, 0u);  // the aggressive-threshold cases filtered
-}
-
-TEST(DbOracle, AgreesUnderEveryCommMode) {
-  for (int mode = 0; mode < 3; ++mode) {
-    testing::DbOracleCase c;
-    c.seed = 500 + static_cast<std::uint64_t>(mode);
-    c.comm = comm_mode(mode);
-    c.min_score = 40;
-    const testing::DbOracleVerdict v = run_db_differential(c);
-    EXPECT_TRUE(v.ok) << c.to_string() << " -> " << v.summary();
-    EXPECT_GT(v.total_hits, 0u) << "homologous probes must hit";
-  }
 }
 
 TEST(DbOracle, SurvivesInjectedFaults) {

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "backends.h"
 #include "dsm/cluster.h"
 
 namespace gdsm::dsm {
@@ -358,133 +360,91 @@ TEST(HomeMigration, DataStaysCoherentAcrossMigration) {
   EXPECT_EQ(cluster.stats().home_migrations, 3u);
 }
 
-CommConfig legacy_comm_cfg() {
-  CommConfig c;
-  c.batch_diffs = false;
-  c.bulk_fetch = false;
-  c.prefetch_pages = 0;
-  return c;
-}
+// The data-plane tests run on both backends: the protocol code is shared,
+// so the counters must agree.  Values are checked on node 0, which runs in
+// the host address space under either backend.
 
 TEST(CommPlane, BulkFetchCoalescesMultiPageReads) {
   // A read_bytes spanning 8 uncached remote pages must cost one kGetPages
   // exchange, not 8 serial faults; accounting stays per-page (read_faults).
   constexpr int kPages = 8;
-  DsmConfig cfg;
-  cfg.page_bytes = 128;
-  cfg.comm = CommConfig{};  // pin batched mode regardless of GDSM_COMM
-  Cluster cluster(2, cfg);
-  const GlobalAddr arr = cluster.alloc(kPages * 128, /*home=*/0);
-  cluster.run([&](Node& node) {
-    if (node.id() == 0) {
-      for (int pgi = 0; pgi < kPages; ++pgi) {
-        node.write<int>(arr + static_cast<GlobalAddr>(pgi) * 128, pgi + 1);
+  for (const Backend backend : testable_backends()) {
+    SCOPED_TRACE(backend_name(backend));
+    DsmConfig cfg;
+    cfg.page_bytes = 128;
+    cfg.backend = backend;
+    Cluster cluster(2, cfg);
+    const GlobalAddr arr = cluster.alloc(kPages * 128, /*home=*/1);
+    std::vector<int> buf(kPages * 128 / sizeof(int));
+    cluster.run([&](Node& node) {
+      if (node.id() == 1) {
+        for (int pgi = 0; pgi < kPages; ++pgi) {
+          node.write<int>(arr + static_cast<GlobalAddr>(pgi) * 128, pgi + 1);
+        }
       }
-    }
-    node.barrier();
-    if (node.id() == 1) {
-      std::vector<int> buf(kPages * 128 / sizeof(int));
-      node.read_bytes(arr, reinterpret_cast<std::byte*>(buf.data()),
-                      kPages * 128);
-      for (int pgi = 0; pgi < kPages; ++pgi) {
-        EXPECT_EQ(buf[static_cast<std::size_t>(pgi) * (128 / sizeof(int))],
-                  pgi + 1);
+      node.barrier();
+      if (node.id() == 0) {
+        node.read_bytes(arr, reinterpret_cast<std::byte*>(buf.data()),
+                        kPages * 128);
       }
+      node.barrier();
+    });
+    for (int pgi = 0; pgi < kPages; ++pgi) {
+      EXPECT_EQ(buf[static_cast<std::size_t>(pgi) * (128 / sizeof(int))],
+                pgi + 1);
     }
-    node.barrier();
-  });
-  const NodeStats reader = cluster.stats().node[1];
-  EXPECT_EQ(reader.bulk_fetches, 1u);
-  EXPECT_EQ(reader.bulk_pages_fetched, static_cast<std::uint64_t>(kPages));
-  EXPECT_EQ(reader.read_faults, static_cast<std::uint64_t>(kPages));
-  EXPECT_GE(reader.round_trips_saved(), static_cast<std::uint64_t>(kPages - 1));
-}
-
-TEST(CommPlane, LegacyModeNeverBulksOrBatches) {
-  DsmConfig cfg;
-  cfg.page_bytes = 128;
-  cfg.comm = legacy_comm_cfg();
-  Cluster cluster(2, cfg);
-  const GlobalAddr arr = cluster.alloc(6 * 128, /*home=*/0);
-  cluster.run([&](Node& node) {
-    if (node.id() == 1) {
-      std::vector<int> buf(6 * 128 / sizeof(int));
-      node.read_bytes(arr, reinterpret_cast<std::byte*>(buf.data()), 6 * 128);
-      for (int pgi = 0; pgi < 6; ++pgi) {
-        node.write<int>(arr + static_cast<GlobalAddr>(pgi) * 128, pgi);
-      }
-    }
-    node.barrier();
-  });
-  const NodeStats n1 = cluster.stats().node[1];
-  EXPECT_EQ(n1.bulk_fetches, 0u);
-  EXPECT_EQ(n1.diff_batches_sent, 0u);
-  EXPECT_EQ(n1.prefetch_issued, 0u);
-  EXPECT_EQ(n1.read_faults, 6u);  // one serial fault per page
-}
-
-TEST(CommPlane, SequentialScanPrefetchesAhead) {
-  // A forward per-page scan must trip the sequential detector: later pages
-  // arrive through async kGetPages read-ahead and count as prefetch hits,
-  // not read faults.
-  constexpr int kPages = 16;
-  DsmConfig cfg;
-  cfg.page_bytes = 128;
-  cfg.comm = CommConfig{};      // pin the mode regardless of GDSM_COMM
-  cfg.comm.bulk_fetch = false;  // isolate the read-ahead path
-  cfg.comm.prefetch_pages = 4;
-  Cluster cluster(2, cfg);
-  const GlobalAddr arr = cluster.alloc(kPages * 128, /*home=*/0);
-  cluster.run([&](Node& node) {
-    if (node.id() == 0) {
-      for (int pgi = 0; pgi < kPages; ++pgi) {
-        node.write<int>(arr + static_cast<GlobalAddr>(pgi) * 128, 10 * pgi);
-      }
-    }
-    node.barrier();
-    if (node.id() == 1) {
-      for (int pgi = 0; pgi < kPages; ++pgi) {
-        EXPECT_EQ(node.read<int>(arr + static_cast<GlobalAddr>(pgi) * 128),
-                  10 * pgi);
-      }
-    }
-    node.barrier();
-  });
-  const NodeStats reader = cluster.stats().node[1];
-  EXPECT_GT(reader.prefetch_issued, 0u);
-  EXPECT_GT(reader.prefetch_hits, 0u);
-  EXPECT_LT(reader.read_faults, static_cast<std::uint64_t>(kPages));
+    const NodeStats reader = cluster.stats().node[0];
+    EXPECT_EQ(reader.bulk_fetches, 1u);
+    EXPECT_EQ(reader.bulk_pages_fetched, static_cast<std::uint64_t>(kPages));
+    EXPECT_EQ(reader.read_faults, static_cast<std::uint64_t>(kPages));
+    EXPECT_GE(reader.round_trips_saved(),
+              static_cast<std::uint64_t>(kPages - 1));
+  }
 }
 
 TEST(CommPlane, EmptyDiffsSuppressedInEveryMode) {
   // Writing the value already in place yields a zero-record diff; shipping
-  // it would be a pure round-trip, so every mode suppresses it.
-  for (const bool batched : {false, true}) {
-    DsmConfig cfg;
-    cfg.page_bytes = 128;
-    cfg.comm = batched ? CommConfig{} : legacy_comm_cfg();
-    Cluster cluster(2, cfg);
-    const GlobalAddr x = cluster.alloc(sizeof(int), /*home=*/0);
-    cluster.run([&](Node& node) {
-      if (node.id() == 1) node.write<int>(x, 0);  // no-op over zeroed memory
-      node.barrier();
-    });
-    const NodeStats writer = cluster.stats().node[1];
-    EXPECT_EQ(writer.diffs_sent, 0u) << "batched=" << batched;
-    EXPECT_EQ(writer.empty_diffs_suppressed, 1u) << "batched=" << batched;
+  // it would be a pure round-trip, so both release paths suppress it: the
+  // single-page kDiff and the multi-page kDiffBatch.
+  for (const Backend backend : testable_backends()) {
+    for (const int pages : {1, 4}) {
+      SCOPED_TRACE(std::string(backend_name(backend)) +
+                   " pages=" + std::to_string(pages));
+      DsmConfig cfg;
+      cfg.page_bytes = 128;
+      cfg.backend = backend;
+      Cluster cluster(2, cfg);
+      const GlobalAddr x = cluster.alloc(
+          static_cast<std::size_t>(pages) * 128, /*home=*/0);
+      cluster.run([&](Node& node) {
+        if (node.id() == 1) {
+          for (int pgi = 0; pgi < pages; ++pgi) {  // no-op over zeroed memory
+            node.write<int>(x + static_cast<GlobalAddr>(pgi) * 128, 0);
+          }
+        }
+        node.barrier();
+      });
+      const NodeStats writer = cluster.stats().node[1];
+      EXPECT_EQ(writer.diffs_sent, 0u);
+      EXPECT_EQ(writer.diff_batches_sent, 0u);
+      EXPECT_EQ(writer.empty_diffs_suppressed,
+                static_cast<std::uint64_t>(pages));
+    }
   }
 }
 
 TEST(CommPlane, ReleaseDiffsCoalescePerHome) {
-  // Six dirty pages with the same home leave as ONE kDiffBatch; per-page
-  // diff accounting (diffs_sent) matches the legacy plane exactly.
+  // Six dirty pages with the same home leave as ONE kDiffBatch; diff
+  // accounting (diffs_sent) stays per page.
   constexpr int kPages = 6;
-  auto diffs_for = [](CommConfig comm) {
+  for (const Backend backend : testable_backends()) {
+    SCOPED_TRACE(backend_name(backend));
     DsmConfig cfg;
     cfg.page_bytes = 128;
-    cfg.comm = comm;
+    cfg.backend = backend;
     Cluster cluster(2, cfg);
     const GlobalAddr arr = cluster.alloc(kPages * 128, /*home=*/0);
+    std::vector<int> got(kPages, 0);
     cluster.run([&](Node& node) {
       if (node.id() == 1) {
         for (int pgi = 0; pgi < kPages; ++pgi) {
@@ -494,21 +454,22 @@ TEST(CommPlane, ReleaseDiffsCoalescePerHome) {
       node.barrier();
       if (node.id() == 0) {
         for (int pgi = 0; pgi < kPages; ++pgi) {
-          EXPECT_EQ(node.read<int>(arr + static_cast<GlobalAddr>(pgi) * 128),
-                    pgi + 1);
+          got[static_cast<std::size_t>(pgi)] =
+              node.read<int>(arr + static_cast<GlobalAddr>(pgi) * 128);
         }
       }
       node.barrier();
     });
-    return cluster.stats().node[1];
-  };
-  const NodeStats batched = diffs_for(CommConfig{});
-  const NodeStats legacy = diffs_for(legacy_comm_cfg());
-  EXPECT_EQ(batched.diff_batches_sent, 1u);
-  EXPECT_EQ(batched.diff_pages_batched, static_cast<std::uint64_t>(kPages));
-  EXPECT_EQ(batched.diffs_sent, legacy.diffs_sent);
-  EXPECT_EQ(legacy.diff_batches_sent, 0u);
-  EXPECT_GE(batched.round_trips_saved(), static_cast<std::uint64_t>(kPages - 1));
+    for (int pgi = 0; pgi < kPages; ++pgi) {
+      EXPECT_EQ(got[static_cast<std::size_t>(pgi)], pgi + 1);
+    }
+    const NodeStats writer = cluster.stats().node[1];
+    EXPECT_EQ(writer.diff_batches_sent, 1u);
+    EXPECT_EQ(writer.diff_pages_batched, static_cast<std::uint64_t>(kPages));
+    EXPECT_EQ(writer.diffs_sent, static_cast<std::uint64_t>(kPages));
+    EXPECT_GE(writer.round_trips_saved(),
+              static_cast<std::uint64_t>(kPages - 1));
+  }
 }
 
 TEST(Cluster, SpmdProgramSeesOwnRank) {

@@ -10,9 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include "backends.h"
+#include "core/blocked.h"
 #include "dsm/cluster.h"
 #include "net/fault.h"
 #include "net/transport.h"
+#include "sw/heuristic_scan.h"
 #include "testing/oracle.h"
 
 namespace gdsm {
@@ -230,13 +233,11 @@ TEST(FaultInjectionTest, RetryLayerRetransmitsIdempotentRequests) {
 }
 
 TEST(FaultInjectionTest, BatchedPlaneSurvivesChaosWithCountersLive) {
-  // The full coalesced data plane (diff batches, bulk fetches, read-ahead)
-  // under drops/delays/reorders/duplicates: kDiffBatch and kGetPages are
+  // The coalesced data plane (diff batches, bulk fetches) under
+  // drops/delays/reorders/duplicates: kDiffBatch and kGetPages are
   // idempotent, so retransmits and duplicate replies must be harmless.
   dsm::DsmConfig cfg;
   cfg.page_bytes = 128;
-  cfg.comm = dsm::CommConfig{};
-  cfg.comm.prefetch_pages = 4;
   cfg.faults = chaos_plan(9);
   cfg.retry.timeout_us = 1500;
   constexpr int kPages = 12;
@@ -253,7 +254,6 @@ TEST(FaultInjectionTest, BatchedPlaneSurvivesChaosWithCountersLive) {
       }
     }
     node.barrier();
-    // Sequential scans on both nodes drive bulk fetch and read-ahead.
     for (int pgi = 0; pgi < kPages; ++pgi) {
       if (node.read<int>(arr + static_cast<dsm::GlobalAddr>(pgi) * 128) !=
           pgi + 1) {
@@ -268,38 +268,60 @@ TEST(FaultInjectionTest, BatchedPlaneSurvivesChaosWithCountersLive) {
   EXPECT_GT(stats.faults.total(), 0u) << "no faults fired; raise the rates";
 }
 
-TEST(FaultInjectionTest, OracleMatchesUnderEveryPlanWithBatchingOnAndOff) {
+TEST(FaultInjectionTest, OracleMatchesUnderEveryPlan) {
   // The acceptance matrix of the data plane: every standard fault plan
   // (drop/retry, reorder, delay, chaos+partition) plus a duplicate-heavy
-  // plan, each run with the legacy plane and with batching+prefetch.  The
-  // DSM-backed strategies must reproduce serial SW bit-for-bit either way.
-  dsm::CommConfig legacy;
-  legacy.batch_diffs = false;
-  legacy.bulk_fetch = false;
-  legacy.prefetch_pages = 0;
-  dsm::CommConfig batched;  // defaults: batch + bulk fetch
-  batched.prefetch_pages = 2;
-
+  // plan.  The DSM-backed strategies must reproduce serial SW bit-for-bit.
   std::vector<net::FaultPlan> plans = testing::standard_fault_plans(31);
   net::FaultPlan duplicates;
   duplicates.seed = 35;
   duplicates.duplicate_rate = 0.4;
   plans.push_back(duplicates);
 
-  for (const dsm::CommConfig& comm : {legacy, batched}) {
-    for (const net::FaultPlan& plan : plans) {
-      testing::OracleCase c;
-      c.seed = 23;
-      c.length_s = c.length_t = 256;
-      c.n_regions = 2;
-      c.nprocs = 2;
-      c.retry.timeout_us = 2000;
-      c.comm = comm;
-      c.faults = plan;
-      const testing::OracleVerdict v = testing::run_differential(
-          c, testing::kWavefront | testing::kBlocked);
-      EXPECT_TRUE(v.ok) << c.to_string() << "\n" << v.summary();
-    }
+  for (const net::FaultPlan& plan : plans) {
+    testing::OracleCase c;
+    c.seed = 23;
+    c.length_s = c.length_t = 256;
+    c.n_regions = 2;
+    c.nprocs = 2;
+    c.retry.timeout_us = 2000;
+    c.faults = plan;
+    const testing::OracleVerdict v = testing::run_differential(
+        c, testing::kWavefront | testing::kBlocked);
+    EXPECT_TRUE(v.ok) << c.to_string() << "\n" << v.summary();
+  }
+}
+
+TEST(FaultInjectionTest, LateRepliesAreDroppedAsStaleOnBothBackends) {
+  // Replies delayed past a short timeout: the page fetch or diff is resent,
+  // and whichever reply of the pair comes second must be counted as stale
+  // and dropped, never matched to a later request.  The blocked strategy
+  // still reproduces serial heuristic_scan on either backend.
+  testing::OracleCase c;
+  c.seed = 41;
+  c.length_s = c.length_t = 256;
+  c.n_regions = 2;
+  const HomologousPair pair = c.make_pair();
+  const std::vector<Candidate> reference =
+      heuristic_scan(pair.s, pair.t, c.scheme, c.params);
+  for (const dsm::Backend backend : dsm::testable_backends()) {
+    SCOPED_TRACE(dsm::backend_name(backend));
+    core::BlockedConfig cfg;
+    cfg.nprocs = 2;
+    cfg.scheme = c.scheme;
+    cfg.params = c.params;
+    cfg.dsm.backend = backend;
+    cfg.dsm.retry.timeout_us = 100;
+    cfg.dsm.retry.max_retries = 3;
+    cfg.dsm.retry.backoff_us = 50;
+    cfg.dsm.faults.seed = 7;
+    cfg.dsm.faults.delay_rate = 0.5;
+    cfg.dsm.faults.delay_max_us = 1500;
+    const core::StrategyResult r = core::blocked_align(pair.s, pair.t, cfg);
+    EXPECT_EQ(r.candidates, reference);
+    const dsm::NodeStats totals = r.dsm_stats.total_node();
+    EXPECT_GT(totals.request_retries, 0u);
+    EXPECT_GT(totals.stale_replies, 0u);
   }
 }
 

@@ -172,29 +172,23 @@ Json without_member(const Json& obj, const std::string& key) {
 }
 
 // The validator shared with tools/validate_report (obs/validate.h) must
-// accept every supported schema version of a well-formed document and
-// nothing outside [kSchemaVersionMin, kSchemaVersion].
+// accept a well-formed document at the current schema version and nothing
+// else: older reports are regenerated, not validated.
 TEST(ValidateReportTest, AcceptsSupportedVersionsOnly) {
   RunReport report("validate_unit", "validator coverage");
   Json row = Json::object();
   row.set("x", 1);
   report.add_row("points", std::move(row));
-  // to_json() auto-attaches the kernel and comm sections, so a freshly
-  // emitted report is valid at the current (v6) schema out of the box.
+  // to_json() auto-attaches every section, so a freshly emitted report is
+  // valid at the current schema out of the box.
   Json doc = report.to_json();
-  ASSERT_EQ(doc.at("schema_version").as_int(), kSchemaVersion);
+  ASSERT_EQ(doc.at("schema_version").as_int(), 11);
   EXPECT_EQ(validate_run_report(doc), "");
-  // The versioned sections are required *from their introducing version
-  // on*, so the same body must also validate as every older supported
-  // version (v3..v6 today).
-  for (int v = kSchemaVersionMin; v <= kSchemaVersion; ++v) {
+  for (int v = 1; v <= kSchemaVersion + 1; ++v) {
+    if (v == kSchemaVersion) continue;
     doc.set("schema_version", v);
-    EXPECT_EQ(validate_run_report(doc), "") << "schema_version=" << v;
+    EXPECT_NE(validate_run_report(doc), "") << "schema_version=" << v;
   }
-  doc.set("schema_version", kSchemaVersionMin - 1);
-  EXPECT_NE(validate_run_report(doc), "");
-  doc.set("schema_version", kSchemaVersion + 1);
-  EXPECT_NE(validate_run_report(doc), "");
 }
 
 // Regression for the v6 gap-model requirement: a v6 document whose kernel
@@ -246,7 +240,7 @@ TEST(ValidateReportTest, RejectsV7ReportMissingDbSection) {
   const Json& db = sections.at("db");
   for (const char* key : {"queries", "fragments_scanned", "fragments_rejected",
                           "fragments_aligned", "filtration_rate", "hits",
-                          "shard_balance"}) {
+                          "index_opens", "shard_balance"}) {
     EXPECT_TRUE(db.has(key)) << key;
   }
 
@@ -321,20 +315,12 @@ TEST(ValidateReportTest, RejectsV8ReportMissingDsmSection) {
     const std::string why = validate_run_report(doc);
     EXPECT_NE(why.find("backend"), std::string::npos) << why;
   }
-  // A v7 document without the dsm section is still accepted (the window
-  // reaches back to v3).
-  {
-    Json doc = good;
-    doc.set("schema_version", 7);
-    doc.set("sections", without_member(sections, "dsm"));
-    EXPECT_EQ(validate_run_report(doc), "");
-  }
 }
 
 // Regression for the v9 striped-kernel requirement: a freshly emitted
 // report auto-carries sections.kernel.striped with the precision-ladder and
 // profile-cache counters, and a v9 document that lost them must be rejected
-// by name — while the same body still validates at v8 and below.
+// by name.
 TEST(ValidateReportTest, RejectsV9ReportMissingStripedCounters) {
   RunReport report("validate_unit_v9", "v9 striped-kernel regression");
   Json row = Json::object();
@@ -371,22 +357,11 @@ TEST(ValidateReportTest, RejectsV9ReportMissingStripedCounters) {
     const std::string why = validate_run_report(doc);
     EXPECT_NE(why.find("overflow_reruns"), std::string::npos) << why;
   }
-  // A v8 document without the striped object is still accepted (the window
-  // reaches back to v3).
-  {
-    Json doc = good;
-    doc.set("schema_version", 8);
-    Json s = without_member(sections, "kernel");
-    s.set("kernel", without_member(kernel, "striped"));
-    doc.set("sections", std::move(s));
-    EXPECT_EQ(validate_run_report(doc), "");
-  }
 }
 
 // Regression for the v10 cascade requirement: a freshly emitted report
 // auto-carries sections.db.cascade with the seed-and-extend funnel
-// counters, and a v10 document that lost them must be rejected by name —
-// while the same body still validates at v9 and below.
+// counters, and a document that lost them must be rejected by name.
 TEST(ValidateReportTest, RejectsV10ReportMissingCascadeCounters) {
   RunReport report("validate_unit_v10", "v10 cascade regression");
   Json row = Json::object();
@@ -400,8 +375,7 @@ TEST(ValidateReportTest, RejectsV10ReportMissingCascadeCounters) {
   const Json& db = sections.at("db");
   const Json& cascade = db.at("cascade");
   for (const char* key : {"seeds", "chains", "extensions",
-                          "dp_skipped_by_bound", "dp_confirmed",
-                          "index_mmap_hits"}) {
+                          "dp_skipped_by_bound", "dp_confirmed"}) {
     EXPECT_TRUE(cascade.has(key)) << key;
   }
 
@@ -422,16 +396,6 @@ TEST(ValidateReportTest, RejectsV10ReportMissingCascadeCounters) {
     doc.set("sections", std::move(s));
     const std::string why = validate_run_report(doc);
     EXPECT_NE(why.find("dp_skipped_by_bound"), std::string::npos) << why;
-  }
-  // A v9 document without the cascade object is still accepted (the window
-  // reaches back to v3).
-  {
-    Json doc = good;
-    doc.set("schema_version", 9);
-    Json s = without_member(sections, "db");
-    s.set("db", without_member(db, "cascade"));
-    doc.set("sections", std::move(s));
-    EXPECT_EQ(validate_run_report(doc), "");
   }
 }
 
@@ -470,7 +434,6 @@ TEST(SnapshotsTest, DsmStatsFromRealClusterRun) {
         "invalidations", "evictions", "lock_acquires", "lock_releases",
         "barriers", "cv_signals", "cv_waits", "diff_batches_sent",
         "diff_pages_batched", "bulk_fetches", "bulk_pages_fetched",
-        "prefetch_issued", "prefetch_hits", "prefetch_wasted",
         "empty_diffs_suppressed", "peer_failures", "segv_faults",
         "pages_mapped", "pages_protected", "twins_created",
         "socket_bytes_sent", "socket_bytes_received"}) {

@@ -236,48 +236,70 @@ TEST(ProcBackend, ChildExitWithoutDoneIsAFailure) {
   EXPECT_GE(cluster.stats().node[0].peer_failures, 1u);
 }
 
-TEST(ProcBackend, CommModesAllProduceIdenticalResults) {
-  // legacy / batched / batched+prefetch over the socket data plane.
-  const auto run_mode = [](CommConfig comm) {
-    DsmConfig cfg = proc_cfg();
-    cfg.comm = comm;
+TEST(ProcBackend, ScanMatchesThreadBackendResultsAndStats) {
+  // Bulk fetches, demand faults and a multi-page diff batch in a
+  // barrier-synchronized program: the shared protocol code must give the
+  // same answers AND the same protocol counters on both backends.
+  const auto run_on = [](Backend backend, std::vector<NodeStats>* stats) {
+    DsmConfig cfg;
+    cfg.backend = backend;
     cfg.page_bytes = 256;
     Cluster cluster(3, cfg);
-    constexpr int kInts = 512;  // 8 pages of subject data homed at 0
+    constexpr int kInts = 512;  // 8 pages homed at 0
     const GlobalAddr arr = cluster.alloc(kInts * sizeof(int), /*home=*/0);
     const GlobalAddr res = cluster.alloc(3 * sizeof(int), /*home=*/2);
     cluster.run([&](Node& node) {
-      if (node.id() == 0) {
+      if (node.id() == 1) {  // remote writer: one kDiffBatch at the barrier
         for (int i = 0; i < kInts; ++i) {
           node.write<int>(arr + i * sizeof(int), i * 3 + 1);
         }
       }
       node.barrier();
-      long sum = 0;  // every node scans the full array (bulk fetch/prefetch)
+      std::vector<int> snap(kInts);  // one bulk-fetched span...
+      node.read_bytes(arr, reinterpret_cast<std::byte*>(snap.data()),
+                      kInts * sizeof(int));
+      long sum = 0;  // ...then per-int reads served from the cache
+      bool agree = true;
       for (int i = 0; i < kInts; ++i) {
-        sum += node.read<int>(arr + i * sizeof(int));
+        const int v = node.read<int>(arr + i * sizeof(int));
+        agree = agree && v == snap[static_cast<std::size_t>(i)];
+        sum += v;
       }
-      node.write<int>(res + node.id() * sizeof(int), static_cast<int>(sum));
+      node.write<int>(res + node.id() * sizeof(int),
+                      agree ? static_cast<int>(sum) : -1);
       node.barrier();
     });
+    *stats = cluster.stats().node;
     return read_back(cluster, res, 3);
   };
 
-  CommConfig legacy;
-  legacy.batch_diffs = false;
-  legacy.bulk_fetch = false;
-  legacy.prefetch_pages = 0;
-  CommConfig batched;  // defaults: batch + bulk fetch
-  CommConfig prefetch = batched;
-  prefetch.prefetch_pages = 4;
-
-  const std::vector<int> a = run_mode(legacy);
-  const std::vector<int> b = run_mode(batched);
-  const std::vector<int> c = run_mode(prefetch);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(b, c);
-  EXPECT_EQ(a[0], a[1]);
-  EXPECT_EQ(a[1], a[2]);
+  std::vector<NodeStats> t_stats, p_stats;
+  const std::vector<int> threads = run_on(Backend::kThreads, &t_stats);
+  const std::vector<int> process = run_on(Backend::kProcess, &p_stats);
+  EXPECT_EQ(process, threads);
+  EXPECT_EQ(threads[0], threads[1]);
+  EXPECT_EQ(threads[1], threads[2]);
+  ASSERT_EQ(t_stats.size(), p_stats.size());
+  for (std::size_t n = 0; n < t_stats.size(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const NodeStats& t = t_stats[n];
+    const NodeStats& p = p_stats[n];
+    EXPECT_EQ(p.read_faults, t.read_faults);
+    EXPECT_EQ(p.cache_hits, t.cache_hits);
+    EXPECT_EQ(p.write_faults, t.write_faults);
+    EXPECT_EQ(p.diffs_sent, t.diffs_sent);
+    EXPECT_EQ(p.diff_bytes, t.diff_bytes);
+    EXPECT_EQ(p.invalidations, t.invalidations);
+    EXPECT_EQ(p.evictions, t.evictions);
+    EXPECT_EQ(p.barriers, t.barriers);
+    EXPECT_EQ(p.diff_batches_sent, t.diff_batches_sent);
+    EXPECT_EQ(p.diff_pages_batched, t.diff_pages_batched);
+    EXPECT_EQ(p.bulk_fetches, t.bulk_fetches);
+    EXPECT_EQ(p.bulk_pages_fetched, t.bulk_pages_fetched);
+    EXPECT_EQ(p.empty_diffs_suppressed, t.empty_diffs_suppressed);
+  }
+  EXPECT_GT(t_stats[1].diff_batches_sent, 0u);
+  EXPECT_GT(t_stats[2].bulk_fetches, 0u);
 }
 
 TEST(ProcBackend, DefaultSpaceServes200BlockedQueries) {

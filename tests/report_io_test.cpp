@@ -38,14 +38,12 @@ core::StrategyResult faulted_blocked_run() {
   return core::blocked_align(pair.s, pair.t, cfg);
 }
 
-TEST(ReportIoTest, SchemaVersionIsBumpedToTen) {
-  // v10 added the cascade funnel counters (db.cascade: seeds, chains,
-  // extensions, dp_skipped_by_bound, dp_confirmed, index_mmap_hits) for the
-  // seed-and-extend middle stage and the persisted mmap q-gram index;
-  // docs/METRICS.md pins the layout to schema version 10, with v3-v9 files
-  // still accepted by the tools.
-  EXPECT_EQ(obs::kSchemaVersion, 10);
-  EXPECT_EQ(obs::kSchemaVersionMin, 3);
+TEST(ReportIoTest, SchemaVersionIsBumpedToEleven) {
+  // v11 left one DSM data plane: the comm section lost "mode" and the
+  // read-ahead counters, and the persisted-index open count moved from the
+  // per-query cascade funnel to db.index_opens.  The tools accept the
+  // current version only (docs/METRICS.md v11).
+  EXPECT_EQ(obs::kSchemaVersion, 11);
 }
 
 TEST(ReportIoTest, NodeStatsJsonCarriesRetryCounters) {
@@ -126,13 +124,16 @@ TEST(ReportIoTest, RunReportRoundTripsThroughDiskAtVersionTwo) {
   EXPECT_FALSE(kernel.at("backend").as_string().empty());
   EXPECT_TRUE(kernel.at("best").has("calls"));
   EXPECT_FALSE(kernel.at("best").has("seconds"));
-  // v5: every report auto-attaches the comm section naming the data-plane
-  // mode; the faulted blocked run above went through the batched default,
-  // so the batch counters are live.
+  // Every report auto-attaches the comm section with the batched-plane
+  // totals; since v11 there is one plane, so no mode is named.
   const Json& comm = doc.at("sections").at("comm");
-  EXPECT_FALSE(comm.at("mode").as_string().empty());
+  EXPECT_FALSE(comm.has("mode"));
   EXPECT_TRUE(comm.has("round_trips_saved"));
   EXPECT_TRUE(comm.has("empty_diffs_suppressed"));
+  // v11: the index-open count sits in the db totals, not the funnel.
+  const Json& db = doc.at("sections").at("db");
+  EXPECT_TRUE(db.has("index_opens"));
+  EXPECT_FALSE(db.at("cascade").has("index_mmap_hits"));
   const Json& parsed_run =
       doc.at("series").at("runs").items().at(0).at("result");
   // The v2 additions survive serialization: the fault block and the

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "backends.h"
 #include "simd/dispatch.h"
 #include "svc/queue.h"
 #include "svc/scheduler.h"
@@ -189,6 +190,40 @@ TEST(AlignService, AnswersMatchTheSerialReferencePerStrategy) {
   EXPECT_EQ(out.result.best.score, ref_best.score);
   EXPECT_EQ(out.result.best.end_i, ref_best.end_i);
   EXPECT_EQ(out.result.best.end_j, ref_best.end_j);
+}
+
+TEST(AlignService, ProcessBackendServesFromTwoWorkers) {
+  // The service's worker threads submit to a process-backend cluster: the
+  // forked nodes must see each submitter's program intact, whichever
+  // worker thread it came from.
+  if (!dsm::kProcessBackendRuns) GTEST_SKIP() << "no process backend here";
+  const Sequence subject = make_subject(1500, 31, "chr");
+  ServiceConfig cfg;
+  cfg.nprocs = 3;
+  cfg.workers = 2;
+  cfg.dsm.backend = dsm::Backend::kProcess;
+  AlignService service(cfg);
+  service.load_subject(subject);
+
+  std::vector<Sequence> probes;
+  std::vector<TicketPtr> tickets;
+  for (std::size_t k = 0; k < 6; ++k) {
+    probes.push_back(make_probe(subject, 100 + 200 * k, 200, 40 + k));
+    QuerySpec spec;
+    spec.subject = "chr";
+    spec.query = probes.back();
+    spec.strategy =
+        k % 2 == 0 ? StrategyKind::kBlocked : StrategyKind::kWavefront;
+    const auto adm = service.submit(std::move(spec));
+    ASSERT_TRUE(adm.admitted());
+    tickets.push_back(adm.ticket);
+  }
+  for (std::size_t k = 0; k < tickets.size(); ++k) {
+    const QueryOutcome& out = tickets[k]->wait();
+    ASSERT_TRUE(out.ok) << "query " << k << ": " << out.error;
+    EXPECT_EQ(out.result.candidates, heuristic_scan(probes[k], subject))
+        << "query " << k;
+  }
 }
 
 TEST(AlignService, SecondQueryOnSameSubjectRunsWarm) {

@@ -17,9 +17,10 @@
 #                                 default striped-avx2; docs/KERNELS.md)
 #   5. affine dispatch         -- oracle-verified --gap=affine service run
 #                                 once per backend (docs/ALGORITHMS.md)
-#   6. comm ablation           -- the DSM suites re-run once per data-plane
-#                                 mode (GDSM_COMM=legacy|batched|
-#                                 batched+prefetch; docs/DESIGN.md)
+#   6. DSM flake gate          -- the DSM protocol suites repeated 10x
+#                                 pinned to one CPU, on both backends
+#                                 (GDSM_BACKEND=threads|process), so an
+#                                 interleaving-dependent failure shows up
 #   7. proc_smoke              -- the DSM/strategy/oracle suites re-run with
 #                                 the protocol hosted in real OS processes
 #                                 (GDSM_BACKEND=process: shm segments,
@@ -125,20 +126,20 @@ for backend in $(build/tools/kernel_info); do
     --subject-len=1500 --query-len=200 --gap=affine --verify --quiet
 done
 
-# The data-plane counterpart of the kernel sweep: the default pass above ran
-# with the built-in batched plane; re-run the DSM-facing suites with the
-# plane forced to each mode so the legacy bit-identical path and the
-# read-ahead path stay release-gated too.
-for comm in legacy batched batched+prefetch; do
-  echo "==> DSM suites (GDSM_COMM=$comm)"
+# Flake gate for the protocol: one CPU forces the node, service and
+# transport threads to interleave at every preemption point, and ten
+# repeats on each backend give a rare ordering bug room to show.
+for backend in threads process; do
+  echo "==> DSM flake gate (GDSM_BACKEND=$backend, taskset -c 0, x10)"
   for t in dsm_test dsm_stress_test fault_injection_test \
-           differential_oracle_test cluster_submit_test strategy_test; do
-    GDSM_COMM="$comm" "build/tests/$t" --gtest_brief=1
+           cluster_submit_test proc_test; do
+    GDSM_BACKEND="$backend" taskset -c 0 "build/tests/$t" \
+      --gtest_repeat=10 --gtest_brief=1
   done
 done
 
-# The execution-backend counterpart: every suite above ran the protocol
-# state machine across threads in one address space; re-run the DSM-facing
+# The execution-backend counterpart: the tier-1 passes above ran the protocol
+# across threads in one address space; re-run the DSM-facing
 # suites with the cluster hosted in real OS processes (shm_open/mmap pages,
 # mprotect+SIGSEGV fetch-on-fault, Unix-socket transport), so the paper's
 # workstation model stays release-gated end to end.  proc_test adds the
