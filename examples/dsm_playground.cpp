@@ -9,6 +9,7 @@
 //      Strategy-1 border-cell handshake;
 //   3. a barrier-synchronized multiple-writer page (each node writes its own
 //      slice of ONE page; the home merges the diffs).
+#include <exception>
 #include <iostream>
 
 #include "dsm/cluster.h"
@@ -26,9 +27,7 @@ void print_stats(const char* what, const gdsm::dsm::DsmStats& stats) {
             << " msgs=" << stats.total_traffic().total_messages() << "\n\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace gdsm::dsm;
   const gdsm::Args args(argc, argv);
   const int nodes = static_cast<int>(args.get_int("nodes", 4));
@@ -108,4 +107,18 @@ int main(int argc, char** argv) {
     print_stats("multi-writer", cluster.stats());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad argument (a size too small for the workload, a non-numeric
+  // value, a node count the cluster refuses) is a usage error: report it
+  // and exit 2 instead of aborting on the uncaught exception.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "dsm_playground: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -14,6 +14,7 @@
 //      with no disk storage at all, in O(min(n,m) + n'^2) space.
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "core/preprocess.h"
@@ -25,7 +26,9 @@
 #include "util/timer.h"
 #include "viz/dotplot.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace gdsm;
   const Args args(argc, argv);
   const auto size = static_cast<std::size_t>(args.get_int("size", 6'000));
@@ -127,4 +130,18 @@ int main(int argc, char** argv) {
             << exact.stats.rect_area << " rectangle)\n";
   std::remove(store_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad argument (a size too small for the workload, a non-numeric
+  // value, a node count the cluster refuses) is a usage error: report it
+  // and exit 2 instead of aborting on the uncaught exception.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "exact_pipeline: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -12,6 +12,7 @@
 //   4. visualize: terminal dot plot (the paper's Fig. 14 tool) and Fig. 16
 //      alignment records for the top regions.
 #include <algorithm>
+#include <exception>
 #include <iostream>
 
 #include "core/blocked.h"
@@ -23,7 +24,9 @@
 #include "util/timer.h"
 #include "viz/dotplot.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace gdsm;
   const Args args(argc, argv);
   const auto size = static_cast<std::size_t>(args.get_int("size", 12'000));
@@ -112,4 +115,18 @@ int main(int argc, char** argv) {
   std::cout << "ground truth: " << covered << "/" << pair.regions.size()
             << " planted homologies detected\n";
   return covered == pair.regions.size() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad argument (a size too small for the workload, a non-numeric
+  // value, a node count the cluster refuses) is a usage error: report it
+  // and exit 2 instead of aborting on the uncaught exception.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "genome_compare: " << e.what() << "\n";
+    return 2;
+  }
 }

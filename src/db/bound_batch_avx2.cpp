@@ -5,6 +5,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -13,14 +14,23 @@ namespace {
 
 constexpr int kNeg = -(1 << 28);
 
+/// Windows [w, w + 32) of each lane's seed row, one 32-bit slice per lane
+/// (w is a multiple of 32, so the slice never straddles a 64-bit word).
+__m256i load_seed_slices(const std::uint64_t* const* rows, std::size_t w) {
+  alignas(32) std::uint32_t slice[8];
+  for (int c = 0; c < 8; ++c) {
+    slice[c] = static_cast<std::uint32_t>(rows[c][w >> 6] >> (w & 32));
+  }
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(slice));
+}
+
 /// One vector of 8 candidates through the full m-column DP.  Mirrors
 /// seeded_bound_core in subject_db.cpp state for state; see that function
 /// for the recurrence derivation.  QF bakes q into the type (the state
 /// array stays in ymm registers and the r-loops unroll); QF == 0 reads q_rt.
 template <std::size_t QF>
-void bound_lanes(std::size_t m, const std::uint8_t* flags_t,
-                 std::size_t windows, std::size_t stride, int a, int p,
-                 std::size_t q_rt, std::int32_t* out) {
+void bound_lanes(std::size_t m, const std::uint64_t* const* rows, int a,
+                 int p, std::size_t q_rt, std::int32_t* out) {
   const std::size_t q = QF != 0 ? QF : q_rt;
   const __m256i va = _mm256_set1_epi32(a);
   const __m256i vstep = _mm256_set1_epi32(a - p);  // error column then match
@@ -32,19 +42,23 @@ void bound_lanes(std::size_t m, const std::uint8_t* flags_t,
   for (std::size_t r = 1; r < q; ++r) v[r] = vneg;
   v[0] = zero;
   __m256i best = zero;
+  __m256i seeds = zero;  // per lane: upcoming windows' bits, next in bit 0
   for (std::size_t j = 0; j < m; ++j) {
     __m256i vmax = v[0];
     for (std::size_t r = 1; r < q; ++r) vmax = _mm256_max_epi32(vmax, v[r]);
     best = _mm256_max_epi32(best, vmax);
     // Run cap: v[q-1] may extend past length q-1 only in lanes whose window
-    // j+1-q is seeded.  The flag bytes are 0/1, so a cmpgt-zero turns the
-    // 8-byte row slice into a lane mask.
+    // j+1-q is seeded (j < m keeps it below m-q+1).  Shifting the window's
+    // bit into the sign position makes it a blendv lane mask.
     __m256i cap = vneg;
-    if (j + 1 >= q && j + 1 - q < windows) {
-      const __m128i row = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-          flags_t + (j + 1 - q) * stride));
-      const __m256i mask = _mm256_cmpgt_epi32(_mm256_cvtepu8_epi32(row), zero);
-      cap = _mm256_blendv_epi8(vneg, _mm256_add_epi32(v[q - 1], va), mask);
+    if (j + 1 >= q) {
+      const std::size_t w = j + 1 - q;
+      if ((w & 31) == 0) seeds = load_seed_slices(rows, w);
+      const __m256 mask = _mm256_castsi256_ps(_mm256_slli_epi32(seeds, 31));
+      cap = _mm256_castps_si256(_mm256_blendv_ps(
+          _mm256_castsi256_ps(vneg),
+          _mm256_castsi256_ps(_mm256_add_epi32(v[q - 1], va)), mask));
+      seeds = _mm256_srli_epi32(seeds, 1);
     }
     for (std::size_t r = q - 1; r >= 1; --r)
       v[r] = _mm256_add_epi32(v[r - 1], va);
@@ -58,19 +72,22 @@ void bound_lanes(std::size_t m, const std::uint8_t* flags_t,
 
 }  // namespace
 
-void seeded_bound_batch_avx2(std::size_t m, const std::uint8_t* flags_t,
-                             std::size_t windows, std::size_t stride,
+void seeded_bound_batch_avx2(std::size_t m, const std::uint64_t* seed_bits,
+                             std::size_t words, const std::uint32_t* cand,
                              std::size_t count, int a, int p, std::size_t q,
                              std::int32_t* out) {
   for (std::size_t c = 0; c < count; c += 8) {
-    const std::uint8_t* flags = flags_t + c;
+    const std::uint64_t* rows[8];
+    for (std::size_t l = 0; l < 8; ++l) {
+      rows[l] = seed_bits + cand[std::min(c + l, count - 1)] * words;
+    }
     std::int32_t* o = out + c;
     switch (q) {  // same fixed-q instantiations as the scalar core
-      case 4: bound_lanes<4>(m, flags, windows, stride, a, p, q, o); break;
-      case 5: bound_lanes<5>(m, flags, windows, stride, a, p, q, o); break;
-      case 6: bound_lanes<6>(m, flags, windows, stride, a, p, q, o); break;
-      case 7: bound_lanes<7>(m, flags, windows, stride, a, p, q, o); break;
-      default: bound_lanes<0>(m, flags, windows, stride, a, p, q, o); break;
+      case 4: bound_lanes<4>(m, rows, a, p, q, o); break;
+      case 5: bound_lanes<5>(m, rows, a, p, q, o); break;
+      case 6: bound_lanes<6>(m, rows, a, p, q, o); break;
+      case 7: bound_lanes<7>(m, rows, a, p, q, o); break;
+      default: bound_lanes<0>(m, rows, a, p, q, o); break;
     }
   }
 }

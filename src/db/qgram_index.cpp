@@ -68,51 +68,85 @@ QGramIndex QGramIndex::build(const std::vector<FragmentView>& fragments,
                              const Geometry& geom) {
   QGramIndex out;
   out.geom_ = geom;
-  const int q = static_cast<int>(geom.q);
+  const std::size_t q = geom.q;
 
-  // Gather every (code, fragment, pos) occurrence, then sort once: the
-  // grouped-by-code order is the CSR, and within a code entries come out
-  // sorted by (fragment, pos) — the order the scan's per-fragment gather
-  // relies on.
-  struct Occ {
-    std::uint32_t code, fragment, pos;
-  };
-  std::vector<Occ> occs;
-  for (std::size_t f = 0; f < fragments.size(); ++f) {
-    const FragmentView& fv = fragments[f];
-    if (q <= 0 || fv.len < static_cast<std::size_t>(q)) continue;
-    for (std::size_t pos = 0; pos + static_cast<std::size_t>(q) <= fv.len;
-         ++pos) {
+  // Calls visit(code, fragment, pos) for every N-free window, fragments in
+  // order and positions ascending within each: a rolling 2-bit code that
+  // restarts after every N.
+  const auto for_each_window = [&](auto&& visit) {
+    if (q == 0 || q > 15) return;
+    const std::uint32_t mask = (std::uint32_t{1} << (2 * q)) - 1;
+    for (std::size_t f = 0; f < fragments.size(); ++f) {
+      const FragmentView& fv = fragments[f];
       std::uint32_t code = 0;
-      bool ok = true;
-      for (int i = 0; i < q; ++i) {
-        const Base b = fv.bases[pos + static_cast<std::size_t>(i)];
+      std::size_t run = 0;  // N-free bases ending at `pos`
+      for (std::size_t pos = 0; pos < fv.len; ++pos) {
+        const Base b = fv.bases[pos];
         if (b >= 4) {
-          ok = false;
-          break;
+          run = 0;
+          continue;
         }
-        code = (code << 2) | b;
+        code = ((code << 2) | b) & mask;
+        if (++run >= q) {
+          visit(code, static_cast<std::uint32_t>(f),
+                static_cast<std::uint32_t>(pos + 1 - q));
+        }
       }
-      if (!ok) continue;
-      occs.push_back(Occ{code, static_cast<std::uint32_t>(f),
-                         static_cast<std::uint32_t>(pos)});
     }
-  }
-  std::sort(occs.begin(), occs.end(), [](const Occ& a, const Occ& b) {
-    if (a.code != b.code) return a.code < b.code;
-    if (a.fragment != b.fragment) return a.fragment < b.fragment;
-    return a.pos < b.pos;
-  });
+  };
 
-  out.owned_entries_.reserve(occs.size());
-  for (const Occ& o : occs) {
-    if (out.owned_codes_.empty() || out.owned_codes_.back() != o.code) {
-      out.owned_codes_.push_back(o.code);
-      out.owned_offsets_.push_back(out.owned_entries_.size());
+  // Two-pass counting sort by code, scattering straight into the CSR: pass
+  // 1 counts each bucket, pass 2 drops every window at its bucket's cursor.
+  // Windows arrive in (fragment, pos) order and the scatter is stable, so
+  // each code's entries come out sorted by (fragment, pos) — the order the
+  // scan's per-fragment cursors rely on.  A bucket is one code up to q = 10
+  // (4^10 counters); past that a bucket holds the codes sharing their top
+  // 20 bits, and a stable sort within each bucket finishes the order.
+  constexpr std::size_t kBucketBits = 20;
+  const std::size_t shift = 2 * q > kBucketBits ? 2 * q - kBucketBits : 0;
+  std::vector<std::size_t> start((std::size_t{1} << (2 * q - shift)) + 1, 0);
+  for_each_window([&](std::uint32_t code, std::uint32_t, std::uint32_t) {
+    ++start[(code >> shift) + 1];
+  });
+  for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+  const std::size_t n = start.back();
+  std::vector<std::uint32_t> entry_code(n);
+  out.owned_entries_.resize(n);
+  for_each_window([&](std::uint32_t code, std::uint32_t f, std::uint32_t pos) {
+    const std::size_t k = start[code >> shift]++;
+    entry_code[k] = code;
+    out.owned_entries_[k] = Entry{f, pos};
+  });
+  if (shift > 0) {
+    // start[b] now holds bucket b's end, i.e. bucket b+1's begin.
+    std::vector<std::pair<std::uint32_t, Entry>> run;
+    for (std::size_t b = 0, lo = 0; b + 1 < start.size(); lo = start[b++]) {
+      const std::size_t hi = start[b];
+      if (std::is_sorted(entry_code.begin() + lo, entry_code.begin() + hi)) {
+        continue;
+      }
+      run.clear();
+      for (std::size_t k = lo; k < hi; ++k) {
+        run.emplace_back(entry_code[k], out.owned_entries_[k]);
+      }
+      std::stable_sort(run.begin(), run.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.first < y.first;
+                       });
+      for (std::size_t k = lo; k < hi; ++k) {
+        entry_code[k] = run[k - lo].first;
+        out.owned_entries_[k] = run[k - lo].second;
+      }
     }
-    out.owned_entries_.push_back(Entry{o.fragment, o.pos});
   }
-  out.owned_offsets_.push_back(out.owned_entries_.size());
+
+  for (std::size_t k = 0; k < n; ++k) {
+    if (out.owned_codes_.empty() || out.owned_codes_.back() != entry_code[k]) {
+      out.owned_codes_.push_back(entry_code[k]);
+      out.owned_offsets_.push_back(k);
+    }
+  }
+  out.owned_offsets_.push_back(n);
   if (out.owned_codes_.empty()) out.owned_offsets_.assign(1, 0);
 
   out.offsets_ = out.owned_offsets_.data();

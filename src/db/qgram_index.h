@@ -64,7 +64,9 @@ class QGramIndex {
   };
 
   /// Cold build: packs every q-window of every fragment (N windows have no
-  /// code and are skipped, blast/words.h) and assembles the CSR.
+  /// code and are skipped, blast/words.h) and assembles the CSR with a
+  /// linear-time counting sort by code, scattering each window straight
+  /// into its slot: entries come out sorted by (code, fragment, pos).
   static QGramIndex build(const std::vector<FragmentView>& fragments,
                           const Geometry& geom);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -22,28 +24,28 @@ DbConfig normalize(DbConfig cfg) {
 constexpr int kNeg = -(1 << 28);
 
 /// Allocation-free core of seeded_run_bound (q is pre-clamped to <= 15, so
-/// the state vector fits a fixed array): the hot path runs this once per
-/// seeded fragment per query.
+/// the state vector fits a fixed array): the scalar scan runs this once per
+/// seeded candidate per query.  `seed` is one fragment's row of the scan's
+/// seed bitmap: bit w % 64 of word w / 64 is set when query window w is
+/// seeded, for w < windows (nullptr: nothing is seeded).
 ///
-/// `stop_at` enables the scan's decision-preserving early exits: the filter
-/// only compares the bound against min_score, so the DP may return as soon
-/// as the comparison is settled.  Accept-exit returns the running best once
-/// it reaches stop_at (a lower bound on the exact value, already >=
-/// min_score); reject-exit returns vmax + a*(m-j) (an upper bound on the
-/// exact value — every remaining column adds at most `a` to any state —
-/// already < min_score).  Either way the survivor set is byte-identical to
-/// the exact DP's.  Pass INT_MAX (the default) for the exact bound.
-/// The DP loop, templated on the q-gram length: QF != 0 bakes q into the
+/// `reject_below` enables the scan's one decision-preserving early exit:
+/// the DP returns as soon as even the best finish, vmax + a*(m-j) (every
+/// remaining column adds at most `a` to any state), stays below it — an
+/// upper bound on the exact value that the scan rejects anyway.  Any value
+/// that reaches reject_below is exact, so a survivor's bound (the cascade's
+/// exact_bound) is the batch kernel's, bit for bit.  INT_MIN (the default)
+/// disables the exit.
+///
+/// The DP loop is templated on the q-gram length: QF != 0 bakes q into the
 /// type so the state vector lives in registers and the per-column r-loops
-/// fully unroll (the hot q = 5 path runs ~2-3x faster than the
-/// runtime-q loop); QF == 0 is the generic fallback reading q_rt.
+/// fully unroll (the hot q = 5 path runs ~2-3x faster than the runtime-q
+/// loop); QF == 0 is the generic fallback reading q_rt.
 template <std::size_t QF>
-int seeded_bound_core(std::size_t m, const char* seed, std::size_t windows,
-                      int a, int p, std::size_t q_rt, int stop_at) {
+int seeded_bound_core(std::size_t m, const std::uint64_t* seed,
+                      std::size_t windows, int a, int p, std::size_t q_rt,
+                      int reject_below) {
   const std::size_t q = QF != 0 ? QF : q_rt;
-  // INT_MAX disables both exits (ceiling < INT_MAX would otherwise fire on
-  // every column and return the trivial a*m cap instead of the exact DP).
-  const bool bounded = stop_at != std::numeric_limits<int>::max();
 
   // v[r]: best score of a partial assignment whose current match run has
   // length r (capped at q-1; the cap state also stands for runs >= q,
@@ -60,16 +62,13 @@ int seeded_bound_core(std::size_t m, const char* seed, std::size_t windows,
     int vmax = v[0];
     for (std::size_t r = 1; r < q; ++r) vmax = std::max(vmax, v[r]);
     best = std::max(best, vmax);
-    if (bounded) {
-      if (best >= stop_at) return best;
-      const int ceiling =
-          vmax + a * static_cast<int>(m - j);  // every column adds <= a
-      if (ceiling < stop_at) return std::max(best, ceiling);
-    }
+    const int ceiling = std::max(best, vmax + a * static_cast<int>(m - j));
+    if (ceiling < reject_below) return ceiling;
     // Match extending a run to length >= q completes the q-window starting
     // at j-q+1, which must then be a seed (an exact occurrence).
-    const bool seeded =
-        seed != nullptr && j + 1 >= q && j + 1 - q < windows && seed[j + 1 - q];
+    const std::size_t w = j + 1 - q;
+    const bool seeded = seed != nullptr && j + 1 >= q && w < windows &&
+                        ((seed[w >> 6] >> (w & 63)) & 1) != 0;
     const int cap_ext = seeded ? v[q - 1] + a : kNeg;
     // Match extending a short run (no complete q-window yet): an in-place
     // downward shift of the state vector.
@@ -85,9 +84,10 @@ int seeded_bound_core(std::size_t m, const char* seed, std::size_t windows,
   return best;
 }
 
-int seeded_bound_impl(std::size_t m, const char* seed, std::size_t windows,
-                      const ScoreScheme& scheme, std::size_t q,
-                      int stop_at = std::numeric_limits<int>::max()) {
+int seeded_bound_impl(std::size_t m, const std::uint64_t* seed,
+                      std::size_t windows, const ScoreScheme& scheme,
+                      std::size_t q,
+                      int reject_below = std::numeric_limits<int>::min()) {
   const int a = scheme.match;
   if (a <= 0 || m == 0) return 0;  // no positive column -> local score 0
   // Every error column (mismatch, or any gap column: a gap run costs at
@@ -96,12 +96,37 @@ int seeded_bound_impl(std::size_t m, const char* seed, std::size_t windows,
   // filter rather than break it: p = 0 makes the bound a * m.
   const int p = std::max(0, std::min(-scheme.mismatch, -scheme.gap));
   switch (q) {  // fixed-q instantiations for the common index widths
-    case 4: return seeded_bound_core<4>(m, seed, windows, a, p, q, stop_at);
-    case 5: return seeded_bound_core<5>(m, seed, windows, a, p, q, stop_at);
-    case 6: return seeded_bound_core<6>(m, seed, windows, a, p, q, stop_at);
-    case 7: return seeded_bound_core<7>(m, seed, windows, a, p, q, stop_at);
-    default: return seeded_bound_core<0>(m, seed, windows, a, p, q, stop_at);
+    case 4:
+      return seeded_bound_core<4>(m, seed, windows, a, p, q, reject_below);
+    case 5:
+      return seeded_bound_core<5>(m, seed, windows, a, p, q, reject_below);
+    case 6:
+      return seeded_bound_core<6>(m, seed, windows, a, p, q, reject_below);
+    case 7:
+      return seeded_bound_core<7>(m, seed, windows, a, p, q, reject_below);
+    default:
+      return seeded_bound_core<0>(m, seed, windows, a, p, q, reject_below);
   }
+}
+
+/// The first posting at or after `it` whose fragment is >= f: a galloping
+/// search, so a cursor that is already there (every fragment survives)
+/// costs one compare and a long skip costs a logarithmic number.
+const QGramIndex::Entry* seek_fragment(const QGramIndex::Entry* it,
+                                       const QGramIndex::Entry* end,
+                                       std::uint32_t f) {
+  if (it == end || it->fragment >= f) return it;
+  std::size_t step = 1;  // invariant: it->fragment < f
+  while (static_cast<std::size_t>(end - it) > step && it[step].fragment < f) {
+    it += step;
+    step *= 2;
+  }
+  const QGramIndex::Entry* hi =
+      it + std::min(step, static_cast<std::size_t>(end - it));
+  return std::lower_bound(it + 1, hi, f,
+                          [](const QGramIndex::Entry& e, std::uint32_t v) {
+                            return e.fragment < v;
+                          });
 }
 
 }  // namespace
@@ -174,7 +199,11 @@ Sequence SubjectDb::fragment_seq(std::uint32_t id) const {
 int seeded_run_bound(std::size_t m, const std::vector<char>& seed,
                      const ScoreScheme& scheme, std::size_t q) {
   q = std::clamp<std::size_t>(q, 2, 15);
-  return seeded_bound_impl(m, seed.empty() ? nullptr : seed.data(),
+  std::vector<std::uint64_t> bits((seed.size() + 63) / 64, 0);
+  for (std::size_t w = 0; w < seed.size(); ++w) {
+    if (seed[w] != 0) bits[w >> 6] |= std::uint64_t{1} << (w & 63);
+  }
+  return seeded_bound_impl(m, bits.empty() ? nullptr : bits.data(),
                            seed.size(), scheme, q);
 }
 
@@ -204,35 +233,29 @@ void SubjectDb::scan_impl(const Sequence& query, const ScoreScheme& scheme,
   const std::size_t q = cfg_.q;
   const std::size_t windows = m >= q ? m - q + 1 : 0;
 
-  // Output-sensitive seed gather off the positional index: one lookup per
-  // query window, one tuple per exact (window, fragment, position)
-  // co-occurrence.  Grouping by fragment is a counting sort — a comparator
-  // sort over the ~1k tuples a 150 bp probe pulls from even a small db was
-  // the single hottest piece of the scan.  The window loop emits tuples in
-  // ascending q_pos, and the stable scatter keeps that order per fragment.
-  struct Occ {
-    std::uint32_t frag, q_pos, s_pos;
+  // Seed bitmap: one row of `words` 64-bit words per fragment, bit w set
+  // when the query q-gram at window w occurs in the fragment.  Every
+  // posting of every query window is touched once, as a single OR; the
+  // ~100 KB map (a 150 bp probe over ~4k fragments) stays in L2.  Nothing
+  // else is written per posting: seed positions are gathered later, and
+  // only for the fragments that survive the bound.
+  const std::size_t words = (windows + 63) / 64;
+  struct Postings {
+    const QGramIndex::Entry* next = nullptr;  ///< gather cursor (pass 3)
+    const QGramIndex::Entry* end = nullptr;
   };
-  static thread_local std::vector<Occ> gathered, occs;
-  static thread_local std::vector<std::uint32_t> frag_start;
-  gathered.clear();
+  static thread_local std::vector<std::uint64_t> seed_bits;
+  static thread_local std::vector<Postings> postings;  // one per window
+  seed_bits.assign(fragments_.size() * words, 0);
+  postings.assign(windows, Postings{});
   for (std::size_t i = 0; i < windows; ++i) {
     std::uint32_t code;
     if (!blast::pack_word(query, i, static_cast<int>(q), &code)) continue;
-    for (const QGramIndex::Entry& e : index_.lookup(code)) {
-      gathered.push_back(Occ{e.fragment, static_cast<std::uint32_t>(i), e.pos});
-    }
-  }
-  frag_start.assign(fragments_.size() + 1, 0);
-  for (const Occ& o : gathered) ++frag_start[o.frag + 1];
-  for (std::size_t f = 1; f <= fragments_.size(); ++f) {
-    frag_start[f] += frag_start[f - 1];
-  }
-  occs.resize(gathered.size());
-  {
-    static thread_local std::vector<std::uint32_t> cursor;
-    cursor.assign(frag_start.begin(), frag_start.end() - 1);
-    for (const Occ& o : gathered) occs[cursor[o.frag]++] = o;
+    const std::span<const QGramIndex::Entry> list = index_.lookup(code);
+    postings[i] = Postings{list.data(), list.data() + list.size()};
+    std::uint64_t* column = seed_bits.data() + (i >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    for (const QGramIndex::Entry& e : list) column[e.fragment * words] |= bit;
   }
 
   const int a = scheme.match;
@@ -242,175 +265,103 @@ void SubjectDb::scan_impl(const Sequence& query, const ScoreScheme& scheme,
   const int no_seed_bound = seeded_bound_impl(m, nullptr, 0, scheme, q);
   const bool no_seed_pass = no_seed_bound >= min_score;
 
-  // Two bound evaluators with byte-identical accept/reject decisions
-  // (bound_batch.h): the batch path runs the DP for 8 candidates per AVX2
-  // vector and yields exact bounds; the scalar path runs it per fragment
-  // with decision-preserving early exits.  Exact vs truncated bounds only
-  // reach the cascade's conservative gates, so the hit set is unchanged —
-  // the differential test forces GDSM_DB_BOUND=scalar to check.
-  if (bound_batch_available() && a > 0) {
-    // Pass 1: classify every fragment off the grouped tuples alone.  The
-    // occurrences of one fragment arrive in ascending q_pos (the window
-    // loop emits them sorted and the counting scatter is stable), so the
-    // prefilter's distinct-window count is a run count, no flag scratch.
-    enum : std::uint8_t { kReject, kForward, kNeedDp };
-    static thread_local std::vector<std::uint8_t> verdict;
-    static thread_local std::vector<std::uint32_t> cand;
-    verdict.assign(fragments_.size(), kReject);
-    cand.clear();
-    for (const Fragment& f : fragments_) {
-      const std::size_t group = frag_start[f.id];
-      const std::size_t oi = frag_start[f.id + 1];
-      if (oi == group) {  // no seeds: shared bound, no DP
-        if (no_seed_pass) verdict[f.id] = kForward;
-        continue;
-      }
-      std::size_t distinct = 0;
-      for (std::size_t k = group; k < oi; ++k) {
-        if (k == group || occs[k].q_pos != occs[k - 1].q_pos) ++distinct;
-      }
-      // Same O(1) admissible prefilter as the scalar path below.
-      const long long prefilter = std::min<long long>(
-          static_cast<long long>(a) * static_cast<long long>(m),
-          static_cast<long long>(no_seed_bound) +
-              static_cast<long long>(distinct) * (a + p));
-      if (prefilter < min_score) continue;
-      verdict[f.id] = kNeedDp;
-      cand.push_back(f.id);
-    }
-
-    // Pass 2: exact bounds for all DP candidates, 8 per vector, chunked so
-    // the transposed flag matrix stays cache-resident (m * 512 bytes).
-    constexpr std::size_t kChunk = 512;
-    static thread_local std::vector<std::uint8_t> flags_t;
-    static thread_local std::vector<std::int32_t> bounds;
-    bounds.assign((cand.size() + 7) & ~std::size_t{7}, 0);
-    for (std::size_t base = 0; base < cand.size(); base += kChunk) {
-      const std::size_t n = std::min(kChunk, cand.size() - base);
-      const std::size_t stride = (n + 7) & ~std::size_t{7};
-      flags_t.assign(windows * stride, 0);
-      for (std::size_t c = 0; c < n; ++c) {
-        const std::uint32_t f = cand[base + c];
-        for (std::size_t k = frag_start[f]; k < frag_start[f + 1]; ++k) {
-          flags_t[occs[k].q_pos * stride + c] = 1;
-        }
-      }
-      seeded_bound_batch(m, flags_t.data(), windows, stride, n, a, p, q,
-                         bounds.data() + base);
-    }
-
-    // Pass 3, in fragment order so forwarded ids come out ascending exactly
-    // as the scalar loop emits them: apply verdicts, run the cascade on the
-    // survivors.
-    static thread_local CascadeScratch scratch;
-    std::size_t ci = 0;
-    for (const Fragment& f : fragments_) {
-      if (verdict[f.id] == kForward) {
-        out.forwarded.push_back(f.id);
-        continue;
-      }
-      if (verdict[f.id] == kReject) {
-        ++out.rejected;
-        continue;
-      }
-      const int bound = bounds[ci++];
-      if (bound < min_score) {
-        ++out.rejected;
-        continue;
-      }
-      if (!cascade) {
-        out.forwarded.push_back(f.id);
-        continue;
-      }
-      const std::size_t group = frag_start[f.id];
-      const std::size_t oi = frag_start[f.id + 1];
-      out.cascade.seeds += oi - group;
-      scratch.pairs.clear();
-      for (std::size_t k = group; k < oi; ++k) {
-        scratch.pairs.push_back(blast::SeedPair{occs[k].q_pos, occs[k].s_pos});
-      }
-      const CascadeOutcome r = cascade_try_resolve(
-          query, seqs_[f.seq_index].data() + f.begin,
-          static_cast<std::size_t>(f.end - f.begin), scheme, bound,
-          no_seed_bound, q, scratch);
-      out.cascade.chains += r.chains;
-      out.cascade.extensions += r.extensions;
-      if (r.resolved) {
-        ++out.cascade.dp_skipped_by_bound;
-        if (r.score >= min_score) {
-          out.resolved.push_back(ScanHit{f.id, r.score, r.end_i, r.end_j});
-        }
-      } else {
-        out.forwarded.push_back(f.id);
-      }
-    }
-    return;
-  }
-
-  static thread_local std::vector<char> flags;
-  flags.assign(windows, 0);
-  static thread_local CascadeScratch scratch;
-  for (const Fragment& f : fragments_) {
-    const std::size_t group = frag_start[f.id];
-    const std::size_t oi = frag_start[f.id + 1];
-    if (oi == group) {  // no seeds: shared bound, no DP
-      if (no_seed_pass) {
-        out.forwarded.push_back(f.id);
-      } else {
-        ++out.rejected;
-      }
-      continue;
-    }
-
+  // Pass 1: classify every fragment off its bitmap row.  The prefilter's
+  // distinct seeded-window count is the row's popcount.
+  enum : std::uint8_t { kReject, kForward, kNeedDp };
+  static thread_local std::vector<std::uint8_t> verdict;
+  static thread_local std::vector<std::uint32_t> cand;
+  verdict.assign(fragments_.size(), kReject);
+  cand.clear();
+  for (std::uint32_t f = 0; f < fragments_.size(); ++f) {
+    const std::uint64_t* row = seed_bits.data() + f * words;
     std::size_t distinct = 0;
-    for (std::size_t k = group; k < oi; ++k) {
-      if (flags[occs[k].q_pos] == 0) {
-        flags[occs[k].q_pos] = 1;
-        ++distinct;
-      }
+    for (std::size_t k = 0; k < words; ++k) distinct += std::popcount(row[k]);
+    if (distinct == 0) {  // no seeds: shared bound, no DP
+      if (no_seed_pass) verdict[f] = kForward;
+      continue;
     }
     // O(1) prefilter, admissible against the exact bound U itself: U <= a*m
     // (each DP column adds at most `a`) and U <= B0 + |S|*(a+p) (un-seeding
     // a window converts at most one of U's run-extending matches into an
     // error, a swing of a+p).  Prefilter rejection therefore implies exact
     // rejection: the survivor set stays byte-identical to the exact DP's.
+    // A degenerate scheme (a <= 0) bounds every fragment at 0.
     const long long prefilter = std::min<long long>(
         static_cast<long long>(a) * static_cast<long long>(m),
         static_cast<long long>(no_seed_bound) +
             static_cast<long long>(distinct) * (a + p));
-    int bound = std::numeric_limits<int>::min();
-    if (a > 0 && prefilter >= min_score) {
-      // Early-exit the DP the moment the accept/reject decision is
-      // settled (see seeded_bound_impl).  The accept side stops past
-      // B0 + 1, not min_score alone: a survivor's truncated bound is the
-      // cascade's exact_bound, and its U > B0 entry gate must see the same
-      // verdict the exact bound would give (exact >= truncated >= B0 + 1
-      // whenever the exit fired).  Both gates only ever use the value
-      // conservatively, so the hit set is unchanged.
-      const int stop_at = std::max(min_score, no_seed_bound + 1);
-      bound = seeded_bound_impl(m, flags.data(), windows, scheme, q,
-                                stop_at);
-    } else if (a <= 0) {
-      bound = 0;  // seeded_run_bound's degenerate-scheme value
+    if (a > 0 && prefilter < min_score) continue;
+    verdict[f] = kNeedDp;
+    cand.push_back(f);
+  }
+
+  // Pass 2: bounds for the DP candidates, both evaluators reading the
+  // bitmap rows (bound_batch.h).  The batch kernel runs 8 candidates per
+  // AVX2 vector; the scalar loop runs one at a time and stops early only
+  // once a candidate is sure to be rejected.  Every survivor's bound is
+  // exact on both paths, so the ScanResult is identical either way — the
+  // differential tests force GDSM_DB_BOUND=scalar to check.
+  static thread_local std::vector<std::int32_t> bounds;
+  bounds.assign((cand.size() + 7) & ~std::size_t{7}, 0);
+  if (a > 0 && !cand.empty()) {
+    if (bound_batch_available()) {
+      seeded_bound_batch(m, seed_bits.data(), words, cand.data(), cand.size(),
+                         a, p, q, bounds.data());
+    } else {
+      for (std::size_t c = 0; c < cand.size(); ++c) {
+        bounds[c] = seeded_bound_impl(m, seed_bits.data() + cand[c] * words,
+                                      windows, scheme, q, min_score);
+      }
     }
-    for (std::size_t k = group; k < oi; ++k) flags[occs[k].q_pos] = 0;
+  }
+
+  // Pass 3, in fragment order so forwarded ids come out ascending: apply
+  // verdicts and run the cascade on the survivors.  A survivor's seed
+  // pairs are gathered from the postings of its seeded windows only, in
+  // ascending (q_pos, s_pos): each window's posting list is sorted by
+  // fragment, and survivors arrive in ascending id, so one forward cursor
+  // per window galloping to the survivor finds its entries — in total no
+  // more work than one pass over the postings, even when every fragment
+  // survives.
+  static thread_local CascadeScratch scratch;
+  std::size_t ci = 0;
+  for (std::uint32_t f = 0; f < fragments_.size(); ++f) {
+    if (verdict[f] == kForward) {
+      out.forwarded.push_back(f);
+      continue;
+    }
+    if (verdict[f] == kReject) {
+      ++out.rejected;
+      continue;
+    }
+    const int bound = bounds[ci++];
     if (bound < min_score) {
       ++out.rejected;
       continue;
     }
-
     if (!cascade) {
-      out.forwarded.push_back(f.id);
+      out.forwarded.push_back(f);
       continue;
     }
-    out.cascade.seeds += oi - group;
     scratch.pairs.clear();
-    for (std::size_t k = group; k < oi; ++k) {
-      scratch.pairs.push_back(blast::SeedPair{occs[k].q_pos, occs[k].s_pos});
+    const std::uint64_t* row = seed_bits.data() + f * words;
+    for (std::size_t k = 0; k < words; ++k) {
+      for (std::uint64_t rest = row[k]; rest != 0; rest &= rest - 1) {
+        const std::size_t w = k * 64 + std::countr_zero(rest);
+        Postings& pw = postings[w];
+        const QGramIndex::Entry* e = seek_fragment(pw.next, pw.end, f);
+        for (; e != pw.end && e->fragment == f; ++e) {
+          scratch.pairs.push_back(
+              blast::SeedPair{static_cast<std::uint32_t>(w), e->pos});
+        }
+        pw.next = e;
+      }
     }
+    out.cascade.seeds += scratch.pairs.size();
+    const Fragment& frag = fragments_[f];
     const CascadeOutcome r = cascade_try_resolve(
-        query, seqs_[f.seq_index].data() + f.begin,
-        static_cast<std::size_t>(f.end - f.begin), scheme, bound,
+        query, seqs_[frag.seq_index].data() + frag.begin,
+        static_cast<std::size_t>(frag.end - frag.begin), scheme, bound,
         no_seed_bound, q, scratch);
     out.cascade.chains += r.chains;
     out.cascade.extensions += r.extensions;
@@ -419,10 +370,10 @@ void SubjectDb::scan_impl(const Sequence& query, const ScoreScheme& scheme,
       // certified non-hit: the candidate is dropped without any full DP.
       ++out.cascade.dp_skipped_by_bound;
       if (r.score >= min_score) {
-        out.resolved.push_back(ScanHit{f.id, r.score, r.end_i, r.end_j});
+        out.resolved.push_back(ScanHit{f, r.score, r.end_i, r.end_j});
       }
     } else {
-      out.forwarded.push_back(f.id);
+      out.forwarded.push_back(f);
     }
   }
 }

@@ -12,11 +12,16 @@
 //      upper bound computed from which query q-grams occur in it; a
 //      fragment whose bound falls below the report threshold provably
 //      cannot contain a reportable hit and is discarded without alignment
-//      (zero missed hits by construction).  A constant-time prefilter
-//      (min(match * m, B0 + |S| * (match + p)) — see scan()) skips the
-//      bound DP entirely for fragments it already condemns.
-//   2. seed-and-extend — survivors get their seed occurrences chained on
-//      diagonals and X-drop-extended (cascade.h); a candidate whose
+//      (zero missed hits by construction).  "Which q-grams occur" is a
+//      per-query seed bitmap, one bit per (fragment, query window), set
+//      with one OR per posting of the query's windows.  A constant-time
+//      prefilter (min(match * m, B0 + |S| * (match + p)), |S| the row's
+//      popcount — see scan_impl) skips the bound DP entirely for fragments
+//      it already condemns; the rest get the DP, batched 8 per AVX2
+//      vector or one by one, both reading the bitmap rows.
+//   2. seed-and-extend — survivors get their seed occurrences (gathered
+//      from the postings for survivors only) chained on diagonals and
+//      X-drop-extended (cascade.h); a candidate whose
 //      extension score *meets* its bound is resolved host-side with a
 //      certified exact score and never reaches full DP.
 //   3. full DP — whatever remains is aligned by the SIMD-dispatched score

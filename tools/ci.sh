@@ -45,7 +45,8 @@
 #                                 q-gram index round-trip (corrupted
 #                                 checksum rejected) in the Release tree AND
 #                                 under Address/UBSanitizer, plus a
-#                                 GDSM_DB_BOUND=scalar rerun covering the
+#                                 GDSM_DB_BOUND=scalar rerun of the db
+#                                 suites and a db fuzz sweep covering the
 #                                 scalar bound fallback
 #                                 (docs/SERVICE.md "Cascade")
 #  13. perfbench selftest      -- builds the serving benchmark from src/ and
@@ -149,7 +150,7 @@ done
 echo "==> proc_smoke (GDSM_BACKEND=process)"
 PROC_ASAN="handle_segv=0:allow_user_segv_handler=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
 for t in proc_test dsm_test dsm_stress_test fault_injection_test \
-         differential_oracle_test cluster_submit_test strategy_test; do
+         differential_oracle_test cluster_submit_test strategy_test svc_test; do
   echo "---- $t (process backend)"
   GDSM_BACKEND=process ASAN_OPTIONS="$PROC_ASAN" \
     "build/tests/$t" --gtest_brief=1
@@ -205,10 +206,13 @@ echo "==> db_cascade (certified seed-and-extend + persisted index)"
 # stale-size or out-of-bounds bug would hide.
 build/tests/db_cascade_test --gtest_brief=1
 build-asan/tests/db_cascade_test --gtest_brief=1
-# Same suite with the AVX2 batched bound forced off: on AVX2 hosts this is
-# the only coverage of the scalar per-fragment fallback the batch path
-# shadows (bound_batch.h), and the two must reject/accept identically.
+# The db suites and a db fuzz sweep with the AVX2 batched bound forced off:
+# on AVX2 hosts this is the only coverage of the scalar per-fragment
+# fallback the batch path shadows (bound_batch.h).  Both read the same
+# seed bitmap and must give identical scans.
 GDSM_DB_BOUND=scalar build/tests/db_cascade_test --gtest_brief=1
+GDSM_DB_BOUND=scalar build/tests/db_test --gtest_brief=1
+GDSM_DB_BOUND=scalar build/tools/fuzz_align --db --budget-s=10 --quiet
 
 # The serving benchmark builds its own copy of src/ (.bench_build/), so a
 # src/ change that breaks the harness build or its oracle gate fails here.
