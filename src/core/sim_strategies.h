@@ -28,10 +28,6 @@ struct SimReport {
   double total_s = 0;   ///< core + DSM init + termination
   sim::Breakdown average;               ///< per-node average, by category
   std::vector<sim::Breakdown> per_node;
-
-  double speedup_vs(const SimReport& serial) const {
-    return serial.total_s / total_s;
-  }
 };
 
 /// Strategy 1 (Section 4.2): column partition, per-row border handshake.

@@ -20,11 +20,6 @@ DbMeterSnapshot db_meter_snapshot() {
   return g_totals;
 }
 
-void reset_db_meter() {
-  const std::scoped_lock lk(g_mu);
-  g_totals = DbMeterSnapshot{};
-}
-
 void db_meter_record_query(std::size_t scanned, std::size_t rejected,
                            std::size_t aligned, std::size_t hits,
                            const std::vector<std::uint64_t>& per_node_aligned) {

@@ -37,7 +37,6 @@ struct DbMeterSnapshot {
 };
 
 DbMeterSnapshot db_meter_snapshot();
-void reset_db_meter();
 
 /// Accumulation hooks (db_align.cpp / service load path).
 void db_meter_record_query(std::size_t scanned, std::size_t rejected,

@@ -394,7 +394,7 @@ SubjectDb::ScanResult SubjectDb::scan(const Sequence& query,
                                       const ScoreScheme& scheme,
                                       int min_score) const {
   ScanResult out;
-  scan_impl(query, scheme, min_score, cfg_.cascade, out);
+  scan_impl(query, scheme, min_score, /*cascade=*/true, out);
   return out;
 }
 

@@ -68,10 +68,6 @@ struct DbConfig {
   /// B0 with q): at q = 5 / 150 bp queries B0 sits just under the default
   /// service thresholds, which is what lets filtration reject at all.
   std::size_t q = 5;
-  /// Stage 2 of the cascade: certified seed-and-extend resolution of
-  /// stage-1 survivors.  Off = every survivor goes to full DP (the PR 7
-  /// pipeline); the hit set is identical either way.
-  bool cascade = true;
   /// Forwarded candidates per query at or below which db_query aligns them
   /// host-side with the same dispatched kernel instead of paying a cluster
   /// dispatch (two barriers plus engine-thread wakeups dominate a handful
@@ -149,9 +145,9 @@ class SubjectDb {
   };
 
   /// The full cascade front-end of db_query: stage 1 over every fragment,
-  /// then (when config().cascade) stage 2 over the survivors.  The union
-  /// of resolved and forwarded fragments is exactly filter()'s survivor
-  /// set, so turning the cascade off changes costs, never results.
+  /// then stage 2 over the survivors.  The union of resolved and forwarded
+  /// fragments is exactly filter()'s survivor set: the cascade changes
+  /// costs, never results.
   ScanResult scan(const Sequence& query, const ScoreScheme& scheme,
                   int min_score) const;
 

@@ -310,11 +310,6 @@ void Cluster::retain_range(GlobalAddr addr, std::size_t bytes) {
   for (PageId p = first; p <= last; ++p) retained_pages_.insert(p);
 }
 
-void Cluster::clear_retained() {
-  const std::scoped_lock guard(jobs_mu_);
-  retained_pages_.clear();
-}
-
 void Cluster::host_write(GlobalAddr addr, const void* data, std::size_t bytes) {
   const auto* in = static_cast<const std::byte*>(data);
   const std::size_t page_bytes = space_.page_bytes();

@@ -114,9 +114,6 @@ class Cluster {
   /// its frames must never outlive its job.
   void retain_range(GlobalAddr addr, std::size_t bytes);
 
-  /// Un-marks every retained page; frames are reclaimed at the next job end.
-  void clear_retained();
-
   /// Host-side write straight into the home copies (no coherence traffic).
   /// Only legal between jobs and only for ranges no node has cached — i.e.
   /// freshly allocated regions being seeded with service data.

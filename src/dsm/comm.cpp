@@ -26,9 +26,4 @@ NodeStats comm_totals() noexcept {
   return g_totals;
 }
 
-void reset_comm_totals() noexcept {
-  const std::scoped_lock guard(g_mu);
-  g_totals = NodeStats{};
-}
-
 }  // namespace gdsm::dsm

@@ -130,6 +130,5 @@ struct DsmStats {
 /// (obs::comm_stats_json).  All functions are thread-safe.
 void account_comm_totals(const NodeStats& per_job) noexcept;
 NodeStats comm_totals() noexcept;
-void reset_comm_totals() noexcept;
 
 }  // namespace gdsm::dsm

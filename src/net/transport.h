@@ -45,8 +45,6 @@ class Transport {
   /// delivery may be delayed/reordered across flows by the injector.
   void send(Message msg);
 
-  const FaultPlan& fault_plan() const noexcept { return fault_plan_; }
-
   /// Everything the fault layer absorbed so far (all zeros when disabled).
   FaultCounters fault_counters() const;
 

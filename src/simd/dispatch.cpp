@@ -141,12 +141,6 @@ KernelCounters snapshot(const AtomicCounters& c) {
   return out;
 }
 
-void reset(AtomicCounters& c) {
-  c.calls.store(0, std::memory_order_relaxed);
-  c.cells.store(0, std::memory_order_relaxed);
-  c.nanos.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 const char* backend_name(Backend b) {
@@ -225,15 +219,6 @@ KernelStats kernel_stats() {
   out.nw_affine = snapshot(g_nw_affine);
   out.striped = striped_counters();
   return out;
-}
-
-void reset_kernel_stats() {
-  reset(g_best);
-  reset(g_count);
-  reset(g_hits);
-  reset(g_nw);
-  reset(g_nw_affine);
-  reset_striped_counters();
 }
 
 }  // namespace gdsm::simd

@@ -74,10 +74,10 @@ void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
                         std::int32_t* out_e);
 
 // ---------------------------------------------------------------------------
-// Per-kernel metering, aggregated across threads since process start (or the
-// last reset).  `seconds` is host wall-clock inside the kernel calls, so
-// derived throughput is a host_clock quantity; calls/cells are deterministic
-// for a deterministic workload.
+// Per-kernel metering, aggregated across threads since process start.
+// `seconds` is host wall-clock inside the kernel calls, so derived
+// throughput is a host_clock quantity; calls/cells are deterministic for a
+// deterministic workload.
 
 struct KernelCounters {
   std::uint64_t calls = 0;
@@ -96,6 +96,5 @@ struct KernelStats {
 };
 
 KernelStats kernel_stats();
-void reset_kernel_stats();
 
 }  // namespace gdsm::simd

@@ -122,18 +122,6 @@ StripedCounters striped_counters() {
   return out;
 }
 
-void reset_striped_counters() {
-  g_striped.sweeps8.store(0, std::memory_order_relaxed);
-  g_striped.sweeps16.store(0, std::memory_order_relaxed);
-  g_striped.cells8.store(0, std::memory_order_relaxed);
-  g_striped.cells16.store(0, std::memory_order_relaxed);
-  g_striped.overflow_reruns.store(0, std::memory_order_relaxed);
-  g_striped.fallback32.store(0, std::memory_order_relaxed);
-  g_striped.delegated.store(0, std::memory_order_relaxed);
-  g_striped.profile_builds.store(0, std::memory_order_relaxed);
-  g_striped.profile_hits.store(0, std::memory_order_relaxed);
-}
-
 void warm_query_profile(const Base* q, std::size_t len,
                         const ScoreParams& sp) {
   if (active_backend() != Backend::kStripedAvx2 || q == nullptr || len == 0) {

@@ -38,9 +38,9 @@
 
 namespace gdsm::simd {
 
-/// Striped-path activity since process start (or the last reset).  All
-/// deterministic for a deterministic workload; flows into the schema-v9
-/// `kernel.striped` report section (docs/METRICS.md).
+/// Striped-path activity since process start.  All deterministic for a
+/// deterministic workload; flows into the schema-v9 `kernel.striped`
+/// report section (docs/METRICS.md).
 struct StripedCounters {
   std::uint64_t sweeps8 = 0;    ///< 8-bit striped sweeps run
   std::uint64_t sweeps16 = 0;   ///< 16-bit striped sweeps run
@@ -54,7 +54,6 @@ struct StripedCounters {
 };
 
 StripedCounters striped_counters();
-void reset_striped_counters();
 
 /// Pre-builds (or refreshes the cache slot of) the striped profile for
 /// `q[0..len)` under `sp`, keyed by (query bytes, params).  A no-op unless

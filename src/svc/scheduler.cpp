@@ -1,9 +1,6 @@
 #include "svc/scheduler.h"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "simd/dispatch.h"
 
 namespace gdsm::svc {
 
@@ -24,8 +21,7 @@ Scheduler::Scheduler(sim::CostModel model, int nprocs, std::size_t mult_w,
     : model_(model),
       nprocs_(nprocs > 0 ? nprocs : 1),
       mult_w_(mult_w ? mult_w : 1),
-      mult_h_(mult_h ? mult_h : 1),
-      kernel_backend_(simd::active_backend_name()) {}
+      mult_h_(mult_h ? mult_h : 1) {}
 
 double Scheduler::compute_s(std::size_t m, std::size_t n, bool affine) const {
   const double cells =
@@ -113,74 +109,8 @@ double Scheduler::blocked_mp_estimate(std::size_t m, std::size_t n,
   return est;
 }
 
-double Scheduler::exact_estimate(std::size_t m, std::size_t n,
-                                 bool affine) const {
-  const double cells =
-      static_cast<double>(m) * static_cast<double>(n) / nprocs_;
-  // The counting pass streams two int32 column arrays per chunk (four under
-  // affine: the E/F companions double the working set).
-  const std::size_t row_bytes = (affine ? 4u : 2u) *
-                                (n / static_cast<std::size_t>(nprocs_)) *
-                                model_.plain_cell_bytes;
-  double est =
-      cells * model_.effective_cell(
-                  model_.plain_cell_s(kernel_backend_, affine), row_bytes);
-  if (nprocs_ > 1) {
-    // Each band publishes its bottom passage row home; the next band's
-    // owner page-faults it back in.  Affine boundaries carry [H | E]
-    // concatenated — twice the bytes per boundary.
-    const std::size_t bands = std::max<std::size_t>(
-        1, std::min(m, static_cast<std::size_t>(nprocs_)));
-    est += static_cast<double>(bands) *
-           dsm_fetch_s((affine ? 2u : 1u) * n * sizeof(std::int32_t)) /
-           nprocs_;
-  }
-  return est;
-}
-
-double Scheduler::db_estimate(std::size_t m, std::size_t aligned_bases,
-                              bool affine) const {
-  // Survivor fragments are resident at their owners, so the scan's DP is
-  // the whole bill: m x aligned_bases cells spread over the shards with the
-  // score-only kernels (same per-cell price as the exact counting pass).
-  const double cells = static_cast<double>(m) *
-                       static_cast<double>(aligned_bases) / nprocs_;
-  const std::size_t row_bytes =
-      (affine ? 4u : 2u) * 256 * model_.plain_cell_bytes;
-  double est =
-      cells * model_.effective_cell(
-                  model_.plain_cell_s(kernel_backend_, affine), row_bytes);
-  if (nprocs_ > 1) {
-    // Every remote node faults the query in from node 0 once per dispatch.
-    est += dsm_fetch_s(m * sizeof(Base));
-  }
-  return est;
-}
-
-double Scheduler::db_cascade_estimate(std::size_t m,
-                                      std::size_t aligned_bases,
-                                      std::size_t seeds, bool affine) const {
-  const double resolved = model_.cascade_resolve_rate;
-  // The un-certified remainder pays the sharded kernel scan as before.
-  double est = db_estimate(
-      m,
-      static_cast<std::size_t>(static_cast<double>(aligned_bases) *
-                               (1.0 - resolved)),
-      affine);
-  // Host-side stages run on the serving node: seed chaining and ungapped
-  // extension over the gathered occurrences, then the banded certified DP
-  // for the resolved fraction — scalar work, so no kernel speedup and no
-  // shard division.
-  est += static_cast<double>(seeds) * model_.cascade_seed_s;
-  est += resolved * model_.cascade_band_area * static_cast<double>(m) *
-         static_cast<double>(aligned_bases) * model_.cell_s_plain *
-         (affine ? model_.affine_cell_factor_scalar : 1.0);
-  return est;
-}
-
 ScheduleDecision Scheduler::choose(const ScheduleInput& in) const {
   ScheduleDecision d;
-  d.kernel_backend = kernel_backend_;
   d.est_wavefront_s = wavefront_estimate(in.query_len, in.subject_len,
                                          in.subject_warm, in.affine);
   d.est_blocked_s = blocked_estimate(in.query_len, in.subject_len,

@@ -18,8 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <string_view>
 
 #include "sim/cost_model.h"
 #include "svc/query.h"
@@ -39,7 +37,6 @@ struct ScheduleDecision {
   double est_wavefront_s = 0;
   double est_blocked_s = 0;
   double est_blocked_mp_s = 0;
-  std::string kernel_backend;  ///< SIMD backend the estimates priced in
 };
 
 class Scheduler {
@@ -53,45 +50,14 @@ class Scheduler {
   ScheduleDecision choose(const ScheduleInput& in) const;
 
   // Per-strategy estimates, exposed so tests can pin the ordering.  The
-  // `affine` flag scales the per-cell compute by the cost model's gap-model
-  // factors (heuristic factor for the DSM strategies, per-backend kernel
-  // factor for the exact pass); communication terms are model-independent
-  // except the exact boundary rows, which double under affine ([H | E]).
+  // `affine` flag scales the per-cell compute by the cost model's heuristic
+  // gap-model factor; communication terms are model-independent.
   double wavefront_estimate(std::size_t m, std::size_t n, bool warm,
                             bool affine = false) const;
   double blocked_estimate(std::size_t m, std::size_t n, bool warm,
                           bool affine = false) const;
   double blocked_mp_estimate(std::size_t m, std::size_t n,
                              bool affine = false) const;
-
-  /// Score-only exact-mode pass (the §5 counting sweep) priced with the
-  /// per-backend plain cell cost — the estimate that tracks the dispatched
-  /// kernels rather than the 1998 calibration.
-  double exact_estimate(std::size_t m, std::size_t n,
-                        bool affine = false) const;
-
-  /// Database scan: DP over the filtration survivors only (`aligned_bases`
-  /// of resident fragments, balanced across the shards) plus the per-node
-  /// query fetch.  The filter itself is host-side and ~free next to DP.
-  double db_estimate(std::size_t m, std::size_t aligned_bases,
-                     bool affine = false) const;
-
-  /// Same scan with the seed-and-extend cascade enabled: the certified
-  /// fraction of survivors resolves in a host-side banded DP (scalar, no
-  /// shard parallelism) and only the remainder pays the sharded kernels;
-  /// `seeds` is the expected gathered seed-occurrence count, pricing the
-  /// chaining and X-drop stages.
-  double db_cascade_estimate(std::size_t m, std::size_t aligned_bases,
-                             std::size_t seeds, bool affine = false) const;
-
-  /// SIMD backend the estimates assume.  Defaults to the dispatch table's
-  /// active backend; tests pin it to compare machines.
-  const std::string& kernel_backend() const noexcept { return kernel_backend_; }
-  void set_kernel_backend(std::string_view backend) {
-    kernel_backend_.assign(backend);
-  }
-
-  const sim::CostModel& model() const noexcept { return model_; }
 
  private:
   double compute_s(std::size_t m, std::size_t n, bool affine) const;
@@ -103,7 +69,6 @@ class Scheduler {
   int nprocs_;
   std::size_t mult_w_;
   std::size_t mult_h_;
-  std::string kernel_backend_;
 };
 
 }  // namespace gdsm::svc

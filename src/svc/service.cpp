@@ -9,6 +9,7 @@
 #include "core/exact_parallel.h"
 #include "core/wavefront.h"
 #include "db/meter.h"
+#include "simd/dispatch.h"
 #include "simd/striped.h"
 #include "sw/affine.h"
 
@@ -48,7 +49,7 @@ AlignService::AlignService(ServiceConfig cfg)
       cluster_(cfg_.nprocs, cluster_config()),
       scheduler_(cfg_.cost, cfg_.nprocs, cfg_.mult_w, cfg_.mult_h),
       queue_(cfg_.queue_capacity) {
-  stats_.kernel_backend = scheduler_.kernel_backend();
+  stats_.kernel_backend = simd::active_backend_name();
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -392,6 +393,9 @@ void AlignService::execute_one(PendingQuery& q, std::size_t batch_size) {
             out.ok = true;
             break;
           }
+          case StrategyKind::kDbScan:
+            out.error = "db_scan needs a database query";
+            break;
           case StrategyKind::kAuto:
             out.error = "internal: auto strategy not resolved";
             break;

@@ -60,7 +60,7 @@ struct ServiceStats {
   // -- per-strategy dispatch counts (index = StrategyKind) ---------------
   std::array<std::uint64_t, kNumStrategies> by_strategy{};
   // -- kernel (v4) -------------------------------------------------------
-  std::string kernel_backend;  ///< SIMD backend the scheduler priced in
+  std::string kernel_backend;  ///< SIMD backend the kernels dispatched to
   // -- gap models (v6) ---------------------------------------------------
   std::uint64_t linear_queries = 0;  ///< completed with gap_open == 0
   std::uint64_t affine_queries = 0;  ///< completed with affine (Gotoh) gaps

@@ -2,48 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace gdsm {
-
-std::vector<Sequence> read_fasta(std::istream& in) {
-  std::vector<Sequence> out;
-  std::string line;
-  std::string name;
-  std::basic_string<Base> bases;
-  bool have_record = false;
-
-  auto flush = [&] {
-    if (have_record) {
-      out.emplace_back(name, std::move(bases));
-      bases.clear();
-    }
-  };
-
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (line[0] == '>') {
-      flush();
-      have_record = true;
-      const auto ws = line.find_first_of(" \t", 1);
-      name = line.substr(1, ws == std::string::npos ? std::string::npos : ws - 1);
-    } else if (line[0] == ';') {
-      continue;  // classic FASTA comment line
-    } else {
-      if (!have_record) {
-        throw std::runtime_error("FASTA: sequence data before any '>' header");
-      }
-      for (char c : line) {
-        if (c == ' ' || c == '\t') continue;
-        bases.push_back(encode_base(c));
-      }
-    }
-  }
-  flush();
-  return out;
-}
 
 namespace {
 constexpr std::size_t kStreamBufBytes = 64 * 1024;
@@ -121,7 +82,7 @@ bool FastaStreamReader::next(Sequence& out) {
     if (pos_ == len_ && !fill()) break;
     const char c = buf_[pos_++];
     // A '\r' is only a line terminator when '\n' (or end of input) follows;
-    // anywhere else the oracle feeds it through as ordinary data.
+    // anywhere else it goes through as ordinary data.
     if (cr_) {
       cr_ = false;
       if (c != '\n') consume('\r', out);
@@ -132,7 +93,7 @@ bool FastaStreamReader::next(Sequence& out) {
     }
     if (consume(c, out)) return true;
   }
-  cr_ = false;  // trailing '\r' at end of input is stripped, like getline
+  cr_ = false;  // a trailing '\r' at end of input ends the last line
   if (have_record_) {
     out = Sequence(name_, std::move(bases_));
     bases_.clear();
@@ -142,12 +103,7 @@ bool FastaStreamReader::next(Sequence& out) {
   return false;
 }
 
-std::vector<Sequence> read_fasta_file(const std::string& path, bool stream) {
-  if (!stream) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open FASTA file: " + path);
-    return read_fasta(in);
-  }
+std::vector<Sequence> read_fasta_file(const std::string& path) {
   FastaStreamReader reader(path);
   std::vector<Sequence> out;
   Sequence s;

@@ -9,16 +9,13 @@
 
 namespace gdsm {
 
-/// Parses every record of a FASTA stream.  Lines are concatenated; the
-/// header text after '>' up to the first whitespace becomes the name.
-/// Throws std::runtime_error on malformed input (content before a header).
-std::vector<Sequence> read_fasta(std::istream& in);
-
 /// Incremental FASTA reader over a fixed-size read buffer: records are
 /// parsed straight out of 64 KiB chunks, so peak memory tracks the largest
 /// single record instead of the whole file — load_db's RSS stops scaling
-/// with database size.  Same grammar and errors as read_fasta (the
-/// line-oriented istream path stays available as the oracle).
+/// with database size.  Lines are concatenated; the header text after '>'
+/// up to the first whitespace becomes the name.  Blank lines and ';'
+/// comment lines are skipped.  Throws std::runtime_error on malformed input
+/// (content before a header).
 class FastaStreamReader {
  public:
   explicit FastaStreamReader(const std::string& path);
@@ -47,11 +44,8 @@ class FastaStreamReader {
   std::basic_string<Base> bases_;
 };
 
-/// Convenience: read a FASTA file from disk.  Streams through the chunked
-/// reader by default; `stream = false` takes the legacy whole-stream
-/// istream path (the oracle the streaming parser is tested against).
-std::vector<Sequence> read_fasta_file(const std::string& path,
-                                      bool stream = true);
+/// Convenience: read a whole FASTA file through FastaStreamReader.
+std::vector<Sequence> read_fasta_file(const std::string& path);
 
 /// Writes records wrapped at `width` columns.
 void write_fasta(std::ostream& out, const std::vector<Sequence>& seqs,

@@ -7,7 +7,7 @@
 // tests attack both claims with adversarial inputs (random probes,
 // high-identity probes, tandem repeats — the band-merge worst case) under
 // both gap models, cross-check the full pipeline against brute_force_hits
-// with the cascade on and off and with the cluster path forced, and
+// on both the direct-align and the forced cluster path, and
 // round-trip the persisted q-gram index including corruption rejection.
 #include <gtest/gtest.h>
 
@@ -189,22 +189,6 @@ TEST(CascadeAdmissibility, TandemRepeatAdversaryBothGapModels) {
       }
     }
   }
-}
-
-TEST(CascadeAdmissibility, CascadeOffForwardsEverySurvivor) {
-  const auto seqs = make_db_sequences(2, 500, 14);
-  db::DbConfig cfg;
-  cfg.cascade = false;
-  const db::SubjectDb db(seqs, cfg);
-  Rng rng(400);
-  const Sequence probe =
-      mutate(seqs[0].slice(60, 190), 0.01, 0.005, rng);
-  const db::SubjectDb::Filtration filt = db.filter(probe, kLinear, 100);
-  const db::SubjectDb::ScanResult scan = db.scan(probe, kLinear, 100);
-  EXPECT_TRUE(scan.resolved.empty());
-  EXPECT_EQ(scan.forwarded, filt.survivors);
-  EXPECT_EQ(scan.cascade.extensions, 0u);
-  EXPECT_EQ(scan.cascade.dp_skipped_by_bound, 0u);
 }
 
 // -------------------------------------------------------- bitmap scan --
@@ -469,12 +453,10 @@ TEST(BoundBatch, MatchesScalarBoundLaneForLane) {
 // ------------------------------------------------- differential oracle --
 
 // >= 1000 fuzzed queries through the full db_query pipeline against
-// brute_force_hits, rotating cascade on/off, the direct-align vs cluster
-// resolution path, gap model and threshold regime.  Identity of
-// the on and off hit sets follows: both must equal the brute-force oracle.
+// brute_force_hits, rotating the direct-align vs cluster resolution path,
+// gap model and threshold regime.
 TEST(DbCascadeOracle, FuzzedOnOffAndClusterPathsMatchBruteForce) {
   std::size_t compared = 0;
-  std::size_t cascade_on_queries = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     testing::DbOracleCase c;
     c.seed = 9000 + seed;
@@ -487,7 +469,6 @@ TEST(DbCascadeOracle, FuzzedOnOffAndClusterPathsMatchBruteForce) {
       c.scheme.gap_open = -3;
       c.scheme.gap = -1;
     }
-    c.db_cfg.cascade = (seed % 4) < 2;
     // direct_align_max = 0 forces every forwarded candidate through the
     // cluster SPMD path, so certified resolutions mix with DSM traffic.
     c.db_cfg.direct_align_max = (seed % 3 == 0) ? 0 : 8;
@@ -495,10 +476,8 @@ TEST(DbCascadeOracle, FuzzedOnOffAndClusterPathsMatchBruteForce) {
     const testing::DbOracleVerdict v = run_db_differential(c);
     ASSERT_TRUE(v.ok) << c.to_string() << " -> " << v.summary();
     compared += v.queries;
-    if (c.db_cfg.cascade) cascade_on_queries += v.queries;
   }
   EXPECT_GE(compared, 1000u);
-  EXPECT_GE(cascade_on_queries, 400u);
 }
 
 // ---------------------------------------------------- persisted index --

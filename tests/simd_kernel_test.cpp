@@ -469,7 +469,7 @@ TEST(SimdKernelDispatch, ForcingIsObeyedAndConsistent) {
 }
 
 TEST(SimdKernelDispatch, StatsAccumulateCellsAndBackendName) {
-  reset_kernel_stats();
+  const KernelStats before = kernel_stats();
   std::mt19937 rng(5);
   const auto a = random_bases(120, rng);
   const auto b = random_bases(400, rng);
@@ -478,17 +478,15 @@ TEST(SimdKernelDispatch, StatsAccumulateCellsAndBackendName) {
   (void)block_best(blk, ScoreParams{});
   const KernelStats st = kernel_stats();
   EXPECT_STREQ(st.backend, active_backend_name());
-  EXPECT_EQ(st.best.calls, 1u);
-  EXPECT_EQ(st.best.cells, 120u * 400u);
-  EXPECT_EQ(st.count.calls, 0u);
-  reset_kernel_stats();
-  EXPECT_EQ(kernel_stats().best.calls, 0u);
+  EXPECT_EQ(st.best.calls - before.best.calls, 1u);
+  EXPECT_EQ(st.best.cells - before.best.cells, 120u * 400u);
+  EXPECT_EQ(st.count.calls - before.count.calls, 0u);
 }
 
 // The schema-v6 nw_affine counter block must meter the dispatched affine
 // last-row kernel (docs/METRICS.md v6).
 TEST(SimdKernelDispatch, StatsAccumulateAffineCounters) {
-  reset_kernel_stats();
+  const KernelStats before = kernel_stats();
   std::mt19937 rng(6);
   const auto a = random_bases(64, rng);
   const auto b = random_bases(128, rng);
@@ -497,11 +495,9 @@ TEST(SimdKernelDispatch, StatsAccumulateAffineCounters) {
   nw_last_row_affine(a.data(), a.size(), b.data(), b.size(), sp, sp.gap_open,
                      h.data(), e.data());
   const KernelStats st = kernel_stats();
-  EXPECT_EQ(st.nw_affine.calls, 1u);
-  EXPECT_EQ(st.nw_affine.cells, 64u * 128u);
-  EXPECT_EQ(st.nw.calls, 0u);
-  reset_kernel_stats();
-  EXPECT_EQ(kernel_stats().nw_affine.calls, 0u);
+  EXPECT_EQ(st.nw_affine.calls - before.nw_affine.calls, 1u);
+  EXPECT_EQ(st.nw_affine.cells - before.nw_affine.cells, 64u * 128u);
+  EXPECT_EQ(st.nw.calls - before.nw.calls, 0u);
 }
 
 // The schema-v9 `kernel.striped` counters: sweep/cell metering per
@@ -518,7 +514,21 @@ TEST(SimdKernelDispatch, StripedCountersAndProfileCacheMeter) {
   }
   ASSERT_EQ(force_backend(Backend::kStripedAvx2), Backend::kStripedAvx2);
   clear_query_profile_cache();
-  reset_kernel_stats();
+  const StripedCounters base = kernel_stats().striped;
+  // Striped-path activity since `base` (the meters are process-wide).
+  const auto since_base = [&base] {
+    StripedCounters d = kernel_stats().striped;
+    d.sweeps8 -= base.sweeps8;
+    d.sweeps16 -= base.sweeps16;
+    d.cells8 -= base.cells8;
+    d.cells16 -= base.cells16;
+    d.overflow_reruns -= base.overflow_reruns;
+    d.fallback32 -= base.fallback32;
+    d.delegated -= base.delegated;
+    d.profile_builds -= base.profile_builds;
+    d.profile_hits -= base.profile_hits;
+    return d;
+  };
 
   std::mt19937 rng(21);
   const auto a = random_bases(100, rng);
@@ -529,33 +539,33 @@ TEST(SimdKernelDispatch, StripedCountersAndProfileCacheMeter) {
   blk.b_seq = b.data();
   blk.b_len = b.size();
   (void)block_best(blk, ScoreParams{});
-  KernelStats st = kernel_stats();
-  EXPECT_EQ(st.striped.sweeps8, 1u);
-  EXPECT_EQ(st.striped.cells8, 100u * 300u);
-  EXPECT_EQ(st.striped.profile_builds, 1u);
-  EXPECT_EQ(st.striped.profile_hits, 0u);
-  EXPECT_EQ(st.striped.delegated, 0u);
-  EXPECT_EQ(st.striped.overflow_reruns, 0u);
+  StripedCounters st = since_base();
+  EXPECT_EQ(st.sweeps8, 1u);
+  EXPECT_EQ(st.cells8, 100u * 300u);
+  EXPECT_EQ(st.profile_builds, 1u);
+  EXPECT_EQ(st.profile_hits, 0u);
+  EXPECT_EQ(st.delegated, 0u);
+  EXPECT_EQ(st.overflow_reruns, 0u);
 
   // Same query + params again: the profile is served from the cache.
   (void)block_best(blk, ScoreParams{});
-  st = kernel_stats();
-  EXPECT_EQ(st.striped.profile_hits, 1u);
-  EXPECT_EQ(st.striped.profile_builds, 1u);
+  st = since_base();
+  EXPECT_EQ(st.profile_hits, 1u);
+  EXPECT_EQ(st.profile_builds, 1u);
 
   // The service's pre-warm hook builds ahead of the first scan, so the scan
   // itself is a pure cache hit.
   const auto q2 = random_bases(64, rng);
   warm_query_profile(q2.data(), q2.size(), ScoreParams{});
-  EXPECT_EQ(kernel_stats().striped.profile_builds, 2u);
+  EXPECT_EQ(since_base().profile_builds, 2u);
   DiagBlock blk2 = blk;
   blk2.a_seq = q2.data();
   blk2.a_len = q2.size();
   (void)block_best(blk2, ScoreParams{});
-  st = kernel_stats();
-  EXPECT_EQ(st.striped.profile_builds, 2u);
-  EXPECT_EQ(st.striped.profile_hits, 2u);
-  EXPECT_EQ(st.striped.sweeps8, 3u);
+  st = since_base();
+  EXPECT_EQ(st.profile_builds, 2u);
+  EXPECT_EQ(st.profile_hits, 2u);
+  EXPECT_EQ(st.sweeps8, 3u);
 
   // A boundary-loaded block is not striped-eligible: it delegates to the
   // anti-diagonal avx2 backend and says so.
@@ -564,13 +574,7 @@ TEST(SimdKernelDispatch, StripedCountersAndProfileCacheMeter) {
   bounded.bound_a = ba.data();
   bounded.bound_b = bb.data();
   (void)block_best(bounded, ScoreParams{});
-  EXPECT_EQ(kernel_stats().striped.delegated, 1u);
-
-  reset_kernel_stats();
-  const KernelStats zeroed = kernel_stats();
-  EXPECT_EQ(zeroed.striped.sweeps8, 0u);
-  EXPECT_EQ(zeroed.striped.profile_builds, 0u);
-  EXPECT_EQ(zeroed.striped.delegated, 0u);
+  EXPECT_EQ(since_base().delegated, 1u);
 }
 
 }  // namespace

@@ -65,71 +65,79 @@ TEST(Sequence, EqualityIgnoresName) {
   EXPECT_FALSE(Sequence("a", "ACGT") == Sequence("a", "ACGA"));
 }
 
-TEST(Fasta, RoundTrip) {
-  std::vector<Sequence> seqs{Sequence("alpha", "ACGTACGTACGT"),
-                             Sequence("beta", "TTTTGGGGCCCCAAAA")};
-  std::ostringstream out;
-  write_fasta(out, seqs, /*width=*/5);
-  std::istringstream in(out.str());
-  const auto back = read_fasta(in);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].name(), "alpha");
-  EXPECT_EQ(back[0].text(), "ACGTACGTACGT");
-  EXPECT_EQ(back[1].name(), "beta");
-  EXPECT_EQ(back[1].text(), "TTTTGGGGCCCCAAAA");
-}
-
-TEST(Fasta, HeaderNameStopsAtWhitespace) {
-  std::istringstream in(">chr1 homo sapiens\nACGT\n");
-  const auto seqs = read_fasta(in);
-  ASSERT_EQ(seqs.size(), 1u);
-  EXPECT_EQ(seqs[0].name(), "chr1");
-}
-
-TEST(Fasta, RejectsDataBeforeHeader) {
-  std::istringstream in("ACGT\n>late\nACGT\n");
-  EXPECT_THROW(read_fasta(in), std::runtime_error);
-}
-
-// ----------------------------------------------- streaming FASTA reader --
-// The chunked FastaStreamReader must parse byte-for-byte like the
-// line-oriented read_fasta oracle; these tests feed both paths the same
-// file and compare records.
-
 namespace {
 
-/// Writes `text` to a temp file, parses it with both the streaming path and
-/// the istream oracle, and expects identical records.
-void expect_stream_matches_oracle(const std::string& text,
-                                  const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "fasta_stream_" + tag;
+/// Writes `text` to a temp file named after `tag` and parses it with
+/// read_fasta_file.
+std::vector<Sequence> parse_fasta_text(const std::string& text,
+                                       const std::string& tag) {
+  const std::string path = ::testing::TempDir() + "fasta_" + tag;
   {
     std::ofstream out(path, std::ios::binary);
     out << text;
   }
-  std::istringstream in(text);
-  const std::vector<Sequence> oracle = read_fasta(in);
-  const std::vector<Sequence> streamed = read_fasta_file(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(streamed.size(), oracle.size()) << tag;
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    EXPECT_EQ(streamed[i].name(), oracle[i].name()) << tag << " record " << i;
-    EXPECT_EQ(streamed[i].text(), oracle[i].text()) << tag << " record " << i;
+  struct Remove {
+    std::string path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return read_fasta_file(path);
+}
+
+struct Record {
+  std::string name;
+  std::string text;
+};
+
+/// Parses `text` and expects exactly `want`, in order.
+void expect_records(const std::string& text, const std::string& tag,
+                    const std::vector<Record>& want) {
+  const std::vector<Sequence> got = parse_fasta_text(text, tag);
+  ASSERT_EQ(got.size(), want.size()) << tag;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].name(), want[i].name) << tag << " record " << i;
+    EXPECT_EQ(got[i].text(), want[i].text) << tag << " record " << i;
   }
 }
 
 }  // namespace
 
+TEST(Fasta, RoundTrip) {
+  std::vector<Sequence> seqs{Sequence("alpha", "ACGTACGTACGT"),
+                             Sequence("beta", "TTTTGGGGCCCCAAAA")};
+  std::ostringstream out;
+  write_fasta(out, seqs, /*width=*/5);
+  expect_records(out.str(), "roundtrip",
+                 {{"alpha", "ACGTACGTACGT"}, {"beta", "TTTTGGGGCCCCAAAA"}});
+}
+
+TEST(Fasta, HeaderNameStopsAtWhitespace) {
+  expect_records(">chr1 homo sapiens\nACGT\n", "headername",
+                 {{"chr1", "ACGT"}});
+}
+
+TEST(Fasta, RejectsDataBeforeHeader) {
+  EXPECT_THROW(parse_fasta_text("ACGT\n>late\nACGT\n", "badlead"),
+               std::runtime_error);
+}
+
+// ----------------------------------------------- streaming FASTA reader --
+// The chunked FastaStreamReader against records written out by hand: blank
+// lines and ';' comments are skipped, whitespace inside sequence lines is
+// dropped, lowercase folds to uppercase, a '\r' before '\n' or at end of
+// input ends the line, and a header with no sequence is an empty record.
+
 TEST(FastaStream, MatchesOracleOnMessyInput) {
-  expect_stream_matches_oracle(
+  expect_records(
       ">a first\nACGT\nacgt\n\n;comment line\n>b\tsecond\n  AC GT \nNNN\n>c\n",
-      "messy");
-  expect_stream_matches_oracle(">crlf desc\r\nACGT\r\nTTTT\r\n>two\r\nGG\r\n",
-                               "crlf");
-  expect_stream_matches_oracle(">no_trailing_newline\nACGTAC", "notrail");
-  expect_stream_matches_oracle(">trailing_cr_eof\nACGT\r", "creof");
-  expect_stream_matches_oracle("", "empty");
-  expect_stream_matches_oracle(";only a comment\n", "commentonly");
+      "messy", {{"a", "ACGTACGT"}, {"b", "ACGTNNN"}, {"c", ""}});
+  expect_records(">crlf desc\r\nACGT\r\nTTTT\r\n>two\r\nGG\r\n", "crlf",
+                 {{"crlf", "ACGTTTTT"}, {"two", "GG"}});
+  expect_records(">no_trailing_newline\nACGTAC", "notrail",
+                 {{"no_trailing_newline", "ACGTAC"}});
+  expect_records(">trailing_cr_eof\nACGT\r", "creof",
+                 {{"trailing_cr_eof", "ACGT"}});
+  expect_records("", "empty", {});
+  expect_records(";only a comment\n", "commentonly", {});
 }
 
 TEST(FastaStream, RecordsSpanReadChunks) {
@@ -142,10 +150,12 @@ TEST(FastaStream, RecordsSpanReadChunks) {
     text += big.substr(i, 70);
     text += '\n';
   }
+  std::vector<Record> want{{"big", big}};
   for (int k = 0; k < 50; ++k) {
     text += ">small" + std::to_string(k) + "\nACGTACGTAA\n";
+    want.push_back({"small" + std::to_string(k), "ACGTACGTAA"});
   }
-  expect_stream_matches_oracle(text, "chunks");
+  expect_records(text, "chunks", want);
 }
 
 TEST(FastaStream, RejectsDataBeforeHeaderAndMissingFile) {
@@ -157,23 +167,6 @@ TEST(FastaStream, RejectsDataBeforeHeaderAndMissingFile) {
   EXPECT_THROW(read_fasta_file(path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_THROW(read_fasta_file(path), std::runtime_error);  // now absent
-  EXPECT_THROW(read_fasta_file(path, /*stream=*/false), std::runtime_error);
-}
-
-TEST(FastaStream, SlurpFlagTakesTheLegacyPath) {
-  const std::string path = ::testing::TempDir() + "fasta_stream_slurp";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << ">x one\nACGT\n>y\nTTGG\n";
-  }
-  const auto streamed = read_fasta_file(path, /*stream=*/true);
-  const auto slurped = read_fasta_file(path, /*stream=*/false);
-  std::remove(path.c_str());
-  ASSERT_EQ(streamed.size(), slurped.size());
-  for (std::size_t i = 0; i < slurped.size(); ++i) {
-    EXPECT_EQ(streamed[i].name(), slurped[i].name());
-    EXPECT_EQ(streamed[i].text(), slurped[i].text());
-  }
 }
 
 TEST(FastaStream, PullInterfaceYieldsOneRecordAtATime) {

@@ -40,7 +40,7 @@
 #                                 suite rebuilt and re-run under
 #                                 Address/UBSanitizer (docs/SERVICE.md)
 #  12. db_cascade              -- the certified seed-and-extend stage:
-#                                 cascade on/off hit-for-hit identity vs the
+#                                 hit-for-hit identity vs the
 #                                 brute-force oracle and the persisted
 #                                 q-gram index round-trip (corrupted
 #                                 checksum rejected) in the Release tree AND
