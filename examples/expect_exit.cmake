@@ -1,4 +1,5 @@
-# Runs an example with bad arguments and checks it fails cleanly:
+# Runs a program (an example or a tool) with bad arguments and checks it
+# fails cleanly:
 #
 #   cmake -DEXE=<binary> -DARGS="<args>" -DNAME=<name> -DEXPECT=2 \
 #         -P expect_exit.cmake

@@ -81,7 +81,6 @@ DbShards::DbShards(dsm::Cluster& cluster, const SubjectDb& db) {
     arena_[n] = cluster.alloc(arena_bytes[n].size(), static_cast<int>(n));
     cluster.host_write(arena_[n], arena_bytes[n].data(),
                        arena_bytes[n].size());
-    cluster.retain_range(arena_[n], arena_bytes[n].size());
   }
   db_meter_record_shards(plan_.node_bases);
 }

@@ -2,16 +2,15 @@
 //
 // plan_shards assigns fragments to nodes balancing resident bases;
 // DbShards materializes that plan in cluster global memory — one per-node
-// arena homed at its owner, seeded once with host_write and kept warm
-// across jobs with retain_range (the PR 3 subject-residency machinery,
-// extended from one subject to a sharded database).  db_query then runs
-// one SPMD job per query: node 0 publishes the query into shared memory,
-// every node aligns the filtration survivors resident in *its* shard with
-// the SIMD-dispatched score kernels (local home reads — sharding is the
-// data-locality play), the per-fragment results travel back through shared
-// memory (diffs to home at the barrier, so the run exercises the comm
-// plane and fault plans like every other strategy), and the host assembles
-// the hit list.
+// arena homed at its owner and seeded once with host_write.  Only the owner
+// reads a fragment, straight from its home copy, so no shard page is ever
+// cached on another node.  db_query then runs one SPMD job per query:
+// node 0 publishes the query into shared memory, every node aligns the
+// filtration survivors resident in *its* shard with the SIMD-dispatched
+// score kernels (local home reads — sharding is the data-locality play),
+// the per-fragment results travel back through shared memory (diffs to
+// home at the barrier, so the run exercises the comm plane and fault plans
+// like every other strategy), and the host assembles the hit list.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +35,7 @@ struct ShardPlan {
 ShardPlan plan_shards(const SubjectDb& db, int nodes);
 
 /// The database resident in cluster DSM.  Construct between jobs (load
-/// time): allocates one arena per node, seeds it, and retains the range so
-/// the shard survives end-of-job cache sweeps.
+/// time): allocates one arena per node, homed there, and seeds it.
 class DbShards {
  public:
   DbShards() = default;

@@ -59,7 +59,10 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// read-ahead counters (NodeStats too), and the persisted-index open count
 /// moved out of the per-query cascade funnel to "db.index_opens".  Tools
 /// accept the current version only (docs/METRICS.md v11).
-inline constexpr int kSchemaVersion = 11;
+/// v12: one dispatch per query — the "service" section lost its
+/// "batching" object, and residency.warm_queries/cold_queries count subject
+/// queries only: database scans are neither (docs/METRICS.md v12).
+inline constexpr int kSchemaVersion = 12;
 
 /// Schema of the merged baseline produced by tools/merge_reports.
 inline constexpr const char* kBaselineSchema = "gdsm.baseline";

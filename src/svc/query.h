@@ -77,8 +77,10 @@ struct QueryResult {
   std::size_t db_fragments_aligned = 0;   ///< db scan: filtration survivors
   std::size_t db_fragments_resolved = 0;  ///< db scan: cascade-certified
   bool overflow = false;
-  bool warm = false;          ///< subject was resident-warm at dispatch
-  std::size_t batch_size = 1; ///< queries sharing this dispatch batch
+  bool warm = false;  ///< subject was resident-warm at dispatch (db: false)
+  /// Always 1: every query is its own dispatch.  Kept only because the
+  /// serving benchmark's svc.batch_size_mean reads it; both go together.
+  std::size_t batch_size = 1;
   double wait_s = 0;          ///< admission -> dispatch
   double run_s = 0;           ///< dispatch -> completion
   double total_s = 0;         ///< admission -> completion

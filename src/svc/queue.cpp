@@ -1,7 +1,5 @@
 #include "svc/queue.h"
 
-#include <algorithm>
-
 namespace gdsm::svc {
 
 const char* QueryQueue::reject_reason(Reject r) noexcept {
@@ -31,21 +29,6 @@ std::optional<PendingQuery> QueryQueue::pop() {
   PendingQuery q = std::move(queue_.front());
   queue_.pop_front();
   return q;
-}
-
-std::vector<PendingQuery> QueryQueue::take_matching(
-    const std::function<bool(const PendingQuery&)>& pred, std::size_t max) {
-  std::vector<PendingQuery> out;
-  const std::scoped_lock lk(mu_);
-  for (auto it = queue_.begin(); it != queue_.end() && out.size() < max;) {
-    if (pred(*it)) {
-      out.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return out;
 }
 
 std::size_t QueryQueue::depth() const {

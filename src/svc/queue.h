@@ -3,17 +3,14 @@
 // Admission is *non-blocking with backpressure*: when the queue is at
 // capacity, try_push rejects with a reason instead of stalling the client —
 // the service turns the reason into a failed ticket and counts the reject.
-// Workers block in pop(); take_matching() is the scheduler's batching hook,
-// pulling every queued query a predicate accepts (same resident subject,
-// compatible mode) so one dispatch can ride a single warm subject.
+// Workers block in pop() and dispatch each query on its own, in admission
+// order.
 #pragma once
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "svc/query.h"
 
@@ -37,12 +34,6 @@ class QueryQueue {
   /// Blocks for the next query in admission order; nullopt once the queue
   /// is closed and drained.
   std::optional<PendingQuery> pop();
-
-  /// Removes (in admission order) up to `max` queued queries the predicate
-  /// accepts.  Never blocks; used to batch compatible queries behind the
-  /// one a worker just popped.
-  std::vector<PendingQuery> take_matching(
-      const std::function<bool(const PendingQuery&)>& pred, std::size_t max);
 
   /// Queries currently waiting.
   std::size_t depth() const;

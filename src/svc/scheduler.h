@@ -9,7 +9,10 @@
 //    the subject to each node — it wins short probes;
 //  * blocked amortizes communication into per-block boundary rows and,
 //    when the subject is already *warm* in the node caches, pays no subject
-//    traffic at all — it wins resident subjects;
+//    traffic at all — but each boundary row is priced as page faults (a
+//    page message plus protocol software per page), which costs more than
+//    blocked_mp's direct messages plus its subject scatter below a few
+//    hundred nodes, so kAuto never picks it;
 //  * blocked_mp has no DSM protocol overhead but must scatter the whole
 //    subject to every rank per dispatch — it wins cold one-shot queries on
 //    large subjects.

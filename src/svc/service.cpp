@@ -27,7 +27,6 @@ ServiceConfig AlignService::normalize(ServiceConfig cfg) {
   if (cfg.nprocs < 1) cfg.nprocs = 1;
   if (cfg.workers < 1) cfg.workers = 1;
   if (cfg.queue_capacity == 0) cfg.queue_capacity = 1;
-  if (cfg.max_batch == 0) cfg.max_batch = 1;
   if (cfg.mult_w == 0) cfg.mult_w = 1;
   if (cfg.mult_h == 0) cfg.mult_h = 1;
   return cfg;
@@ -130,8 +129,8 @@ void AlignService::load_db(const std::string& name,
     throw std::invalid_argument("AlignService: database has no fragments: " +
                                 name);
   }
-  // Like load_subject: host_write + retain_range runs between jobs, so
-  // databases load before (or between) query traffic.
+  // Like load_subject: host_write runs between jobs, so databases load
+  // before (or between) query traffic.
   d.shards = db::DbShards(cluster_, d.db);
   const std::scoped_lock lk(mu_);
   if (!databases_.emplace(name, std::move(d)).second) {
@@ -180,49 +179,14 @@ AlignService::Admission AlignService::submit(QuerySpec spec) {
   return out;
 }
 
-bool AlignService::batchable(const QuerySpec& spec) {
-  // Exact queries own their dispatch (different result type, message
-  // passing); injected failures must not drag neighbours down with them.
-  return spec.strategy != StrategyKind::kExact && spec.inject_failure_node < 0;
-}
-
 void AlignService::worker_loop() {
-  for (;;) {
-    std::optional<PendingQuery> head = queue_.pop();
-    if (!head) return;
-    std::vector<PendingQuery> batch;
-    batch.push_back(std::move(*head));
-    if (batchable(batch.front().spec) && cfg_.max_batch > 1) {
-      // Batch key: the resident data the dispatch touches — the database
-      // for db scans, the subject otherwise.
-      const std::string& subject = batch.front().spec.subject;
-      const std::string& database = batch.front().spec.database;
-      std::vector<PendingQuery> more = queue_.take_matching(
-          [&](const PendingQuery& p) {
-            return batchable(p.spec) && p.spec.database == database &&
-                   (!database.empty() || p.spec.subject == subject);
-          },
-          cfg_.max_batch - 1);
-      for (auto& p : more) batch.push_back(std::move(p));
-    }
-    {
-      const std::scoped_lock lk(mu_);
-      ++stats_.batches;
-      if (batch.size() > 1) {
-        stats_.batched_queries += batch.size();
-        stats_.max_batch =
-            std::max<std::uint64_t>(stats_.max_batch, batch.size());
-      }
-    }
-    for (auto& q : batch) execute_one(q, batch.size());
-  }
+  while (std::optional<PendingQuery> q = queue_.pop()) execute_one(*q);
 }
 
-void AlignService::execute_one(PendingQuery& q, std::size_t batch_size) {
+void AlignService::execute_one(PendingQuery& q) {
   const auto dispatched = std::chrono::steady_clock::now();
   QueryOutcome out;
   out.result.id = q.id;
-  out.result.batch_size = batch_size;
   out.result.wait_s = seconds_between(q.admitted_at, dispatched);
 
   bool deadline_reject = false;
@@ -243,7 +207,6 @@ void AlignService::execute_one(PendingQuery& q, std::size_t batch_size) {
       out.error = "unknown database: " + q.spec.database;
     } else {
       dbp = &it->second;  // map entries are never erased: stable address
-      warm = dbp->warm;
     }
   } else {
     const std::scoped_lock lk(mu_);
@@ -259,7 +222,6 @@ void AlignService::execute_one(PendingQuery& q, std::size_t batch_size) {
   if (dbp != nullptr) {
     chosen = StrategyKind::kDbScan;
     out.result.strategy = chosen;
-    out.result.warm = warm;
     if (q.spec.strategy != StrategyKind::kAuto &&
         q.spec.strategy != StrategyKind::kDbScan) {
       out.error = "database queries use the db_scan strategy";
@@ -267,7 +229,6 @@ void AlignService::execute_one(PendingQuery& q, std::size_t batch_size) {
       out.error = "database queries need min_score >= 1";
     } else {
       try {
-        resident_used = true;
         // Build the striped query profile once, before the shard fan-out:
         // every filtration survivor of this query then hits the profile
         // cache instead of racing to build it (no-op for non-striped
@@ -454,10 +415,12 @@ void AlignService::execute_one(PendingQuery& q, std::size_t batch_size) {
       } else {
         ++stats_.linear_queries;
       }
-      if (warm) {
-        ++stats_.warm_queries;
-      } else {
-        ++stats_.cold_queries;
+      if (subj != nullptr) {
+        if (warm) {
+          ++stats_.warm_queries;
+        } else {
+          ++stats_.cold_queries;
+        }
       }
       stats_.cache_hits += out.result.cache_hits;
       stats_.read_faults += out.result.read_faults;
@@ -472,25 +435,18 @@ void AlignService::execute_one(PendingQuery& q, std::size_t batch_size) {
         stats_.db_hits += out.result.db_hits.size();
       }
       if (resident_used) {
-        // This dispatch pulled the resident data (subject or database
-        // shards) into the node caches; the next same-key query runs warm.
-        if (!q.spec.database.empty()) {
-          const auto it = databases_.find(q.spec.database);
-          if (it != databases_.end()) it->second.warm = true;
-        } else {
-          const auto it = subjects_.find(q.spec.subject);
-          if (it != subjects_.end()) it->second.warm = true;
-        }
+        // This dispatch pulled the subject's pages into the node caches;
+        // the next query on it runs warm.
+        subjects_.at(q.spec.subject).warm = true;
       }
     } else {
       ++stats_.failed;
       if (cluster_failed) {
         // The cluster absorbed a failed job by cold-restarting the node
-        // caches: the pool keeps accepting work, but every subject and
-        // database must re-warm on its next touch.
+        // caches: the pool keeps accepting work, but every subject must
+        // re-warm on its next touch.
         ++stats_.recoveries;
         for (auto& [name, s] : subjects_) s.warm = false;
-        for (auto& [name, d] : databases_) d.warm = false;
       }
     }
   }

@@ -1,15 +1,15 @@
-// The multi-query alignment service: admission, batching, and a
-// strategy-aware scheduler over one persistent DSM cluster.
+// The multi-query alignment service: admission and a strategy-aware
+// scheduler over one persistent DSM cluster.
 //
 // The paper runs one alignment per cluster boot.  This subsystem turns the
 // reproduction into a long-lived service: subject genomes are loaded into
 // DSM global memory once (host_write + retain_range keeps their pages warm
 // across jobs), queries are admitted through a bounded queue with
-// backpressure and per-query deadlines, and a worker pool dispatches them —
-// batching compatible queries against the same resident subject and picking
-// the cheapest strategy per query with the calibrated cost model.  A failed
-// query (node-program exception) is absorbed by the cluster's recovery path
-// and does not poison the pool for its neighbours.
+// backpressure and per-query deadlines, and a worker pool dispatches each
+// one as its own cluster job, in admission order, picking the cheapest
+// strategy per query with the calibrated cost model.  A failed query
+// (node-program exception) is absorbed by the cluster's recovery path and
+// does not poison the pool for its neighbours.
 #pragma once
 
 #include <condition_variable>
@@ -35,7 +35,6 @@ struct ServiceConfig {
   int nprocs = 4;                  ///< cluster nodes (and strategy procs)
   std::size_t queue_capacity = 64; ///< admission bound (backpressure)
   int workers = 2;                 ///< dispatcher threads
-  std::size_t max_batch = 8;       ///< queries per same-subject batch
   /// Blocked decomposition for service dispatches (bands = mult_h * P,
   /// blocks = mult_w * P); also prices the scheduler's estimates.
   std::size_t mult_w = 2;
@@ -66,8 +65,8 @@ class AlignService {
   /// Installs a multi-sequence subject database under `name`: fragments the
   /// sequences, builds the q-gram filtration index, and shards the
   /// fragments across the cluster nodes (per-node arenas homed at their
-  /// owners, retained across end-of-job cache sweeps).  Queries select it
-  /// with QuerySpec::database.  Loading a name twice throws.
+  /// owners, which read them in place).  Queries select it with
+  /// QuerySpec::database.  Loading a name twice throws.
   void load_db(const std::string& name, std::vector<Sequence> sequences,
                db::DbConfig db_cfg = {});
   bool has_db(const std::string& name) const;
@@ -103,14 +102,12 @@ class AlignService {
   struct Database {
     db::SubjectDb db;
     db::DbShards shards;
-    bool warm = false;  ///< shards cached on their owners by an earlier scan
   };
 
   static ServiceConfig normalize(ServiceConfig cfg);
   dsm::DsmConfig cluster_config() const;
-  static bool batchable(const QuerySpec& spec);
   void worker_loop();
-  void execute_one(PendingQuery& q, std::size_t batch_size);
+  void execute_one(PendingQuery& q);
 
   ServiceConfig cfg_;
   dsm::Cluster cluster_;

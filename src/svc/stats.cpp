@@ -78,12 +78,6 @@ obs::Json ServiceStats::to_json() const {
   residency.set("read_faults", read_faults);
   j.set("residency", std::move(residency));
 
-  obs::Json batching = obs::Json::object();
-  batching.set("batches", batches);
-  batching.set("batched_queries", batched_queries);
-  batching.set("max_batch", max_batch);
-  j.set("batching", std::move(batching));
-
   obs::Json queue = obs::Json::object();
   queue.set("depth_samples", depth_samples);
   queue.set("depth_mean",

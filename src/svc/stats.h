@@ -1,6 +1,6 @@
-// Service-level observability: admission, batching, residency, gap-model
-// and latency counters, serialized into the run-report "service" section
-// (since schema v3; gap_models since v6 — docs/METRICS.md).
+// Service-level observability: admission, residency, gap-model and latency
+// counters, serialized into the run-report "service" section (since schema
+// v3; gap_models since v6 — docs/METRICS.md).
 #pragma once
 
 #include <array>
@@ -45,14 +45,12 @@ struct ServiceStats {
   std::uint64_t failed = 0;      ///< node-program failure or divergence
   std::uint64_t recoveries = 0;  ///< failed jobs the pool absorbed
   // -- residency --------------------------------------------------------
+  // Subject queries only: a database's shards are read in place by their
+  // owners, so a db scan is neither warm nor cold.
   std::uint64_t warm_queries = 0;  ///< subject cached from an earlier query
   std::uint64_t cold_queries = 0;
   std::uint64_t cache_hits = 0;    ///< summed DSM cache hits of dispatches
   std::uint64_t read_faults = 0;   ///< summed DSM read faults of dispatches
-  // -- batching ---------------------------------------------------------
-  std::uint64_t batches = 0;          ///< dispatch groups
-  std::uint64_t batched_queries = 0;  ///< queries that shared a batch (>1)
-  std::uint64_t max_batch = 0;
   // -- queue ------------------------------------------------------------
   std::uint64_t depth_samples = 0;  ///< one sample per admission
   std::uint64_t depth_sum = 0;

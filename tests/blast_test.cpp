@@ -72,7 +72,9 @@ TEST(Blastn, HitsAreSortedAndValid) {
     EXPECT_GE(h.t_begin, 1u);
     EXPECT_LE(h.t_end, pair.t.size());
     EXPECT_LE(h.t_begin, h.t_end);
-    if (k > 0) EXPECT_GE(hits[k - 1].score, h.score);
+    if (k > 0) {
+      EXPECT_GE(hits[k - 1].score, h.score);
+    }
   }
 }
 

@@ -38,12 +38,12 @@ core::StrategyResult faulted_blocked_run() {
   return core::blocked_align(pair.s, pair.t, cfg);
 }
 
-TEST(ReportIoTest, SchemaVersionIsBumpedToEleven) {
-  // v11 left one DSM data plane: the comm section lost "mode" and the
-  // read-ahead counters, and the persisted-index open count moved from the
-  // per-query cascade funnel to db.index_opens.  The tools accept the
-  // current version only (docs/METRICS.md v11).
-  EXPECT_EQ(obs::kSchemaVersion, 11);
+TEST(ReportIoTest, SchemaVersionIsBumpedToTwelve) {
+  // v12 runs every query as its own dispatch: the service section lost its
+  // "batching" object, and residency.warm_queries/cold_queries count
+  // subject queries only.  The tools accept the current version only
+  // (docs/METRICS.md v12).
+  EXPECT_EQ(obs::kSchemaVersion, 12);
 }
 
 TEST(ReportIoTest, NodeStatsJsonCarriesRetryCounters) {

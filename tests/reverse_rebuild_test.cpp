@@ -132,7 +132,9 @@ TEST(RebuildTopK, FindsAllPlantedRegionsExactly) {
   for (std::size_t k = 0; k < results.size(); ++k) {
     const Alignment& al = results[k].alignment;
     EXPECT_EQ(al.compute_score(pair.s, pair.t, kScheme), al.score);
-    if (k > 0) EXPECT_GE(results[k - 1].alignment.score, al.score);
+    if (k > 0) {
+      EXPECT_GE(results[k - 1].alignment.score, al.score);
+    }
   }
   // The top result equals the global best; every planted region is covered.
   EXPECT_EQ(results[0].alignment.score,

@@ -1,12 +1,13 @@
 // Alignment-service tests: admission backpressure, deadline rejection,
-// same-subject batching over the resident genome (DSM cache hits rising on
-// the second query), failed-query recovery, and strategy answers matching
-// the serial references through the whole service path.
+// one dispatch per query in admission order, the resident genome staying
+// warm (DSM cache hits rising on the second query), failed-query recovery,
+// and strategy answers matching the serial references through the whole
+// service path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "backends.h"
@@ -52,26 +53,6 @@ TEST(QueryQueue, BackpressureAndClose) {
   EXPECT_TRUE(q.pop().has_value());
   EXPECT_TRUE(q.pop().has_value());
   EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(QueryQueue, TakeMatchingRemovesInAdmissionOrder) {
-  QueryQueue q(8);
-  for (int i = 0; i < 5; ++i) {
-    PendingQuery p;
-    p.id = static_cast<std::uint64_t>(i);
-    p.spec.subject = (i % 2 == 0) ? "even" : "odd";
-    ASSERT_EQ(q.try_push(std::move(p)), QueryQueue::Reject::kNone);
-  }
-  const auto taken = q.take_matching(
-      [](const PendingQuery& p) { return p.spec.subject == "even"; }, 2);
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].id, 0u);
-  EXPECT_EQ(taken[1].id, 2u);
-  // The rest keeps its order: 1, 3, 4.
-  EXPECT_EQ(q.depth(), 3u);
-  EXPECT_EQ(q.pop()->id, 1u);
-  EXPECT_EQ(q.pop()->id, 3u);
-  EXPECT_EQ(q.pop()->id, 4u);
 }
 
 // ------------------------------------------------------------ scheduler --
@@ -253,10 +234,11 @@ TEST(ServiceStats, ToJsonCarriesEverySection) {
   const obs::Json j = s.to_json();
   EXPECT_EQ(j.at("admission").at("admitted").as_int(), 3);
   EXPECT_EQ(j.at("dispatch_by_strategy").at("blocked").as_int(), 2);
-  for (const char* key : {"completion", "residency", "batching", "queue",
+  for (const char* key : {"completion", "residency", "queue",
                           "latency_total", "latency_run", "kernel_backend"}) {
     EXPECT_TRUE(j.has(key)) << key;
   }
+  EXPECT_FALSE(j.has("batching"));  // removed in v12: no query groups
 }
 
 // -------------------------------------------------------------- service --
@@ -383,47 +365,69 @@ TEST(AlignService, SecondQueryOnSameSubjectRunsWarm) {
   }
 }
 
-TEST(AlignService, SameSubjectQueriesBatchMixedSubjectsDoNot) {
-  const Sequence big = make_subject(6000, 31, "big");
-  const Sequence other = make_subject(1500, 32, "other");
-  const Sequence big_probe = make_probe(big, 500, 1200, 33);
-  const Sequence small_probe = make_probe(other, 100, 150, 34);
+TEST(AlignService, OneWorkerDispatchesInAdmissionOrder) {
+  // Each query is its own dispatch, taken in admission order: a later
+  // query on the subject the worker just used never overtakes an earlier
+  // one on another subject.
+  const Sequence a = make_subject(6000, 31, "a");
+  const Sequence b = make_subject(1500, 32, "b");
+  const Sequence head_probe = make_probe(a, 500, 1200, 33);
+  const Sequence a_probe = make_probe(a, 2000, 150, 34);
+  const Sequence b_probe = make_probe(b, 100, 150, 35);
 
   ServiceConfig cfg;
   cfg.nprocs = 2;
-  cfg.workers = 1;  // deterministic: one dispatcher drains the queue
+  cfg.workers = 1;  // one dispatcher: queries run one after another
   AlignService service(cfg);
-  service.load_subject(big);
-  service.load_subject(other);
+  service.load_subject(a);
+  service.load_subject(b);
 
+  // Two clock reads bracket each admission, so a query's dispatch time
+  // (admitted + wait_s) and end time (admitted + total_s) are known to
+  // within its bracket.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  const auto now_s = [&] {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  struct Sent {
+    double before = 0;
+    double after = 0;
+    TicketPtr ticket;
+  };
+  std::vector<Sent> sent;
   const auto submit = [&](const std::string& subject, const Sequence& probe) {
     QuerySpec spec;
     spec.subject = subject;
     spec.query = probe;
+    Sent s;
+    s.before = now_s();
     const auto adm = service.submit(std::move(spec));
+    s.after = now_s();
     EXPECT_TRUE(adm.admitted());
-    return adm.ticket;
+    s.ticket = adm.ticket;
+    sent.push_back(std::move(s));
   };
 
-  // The long query occupies the only worker; once its dispatch group is
-  // recorded (batches == 1) the worker is inside the alignment, so
-  // everything submitted now waits in the queue for the next dispatch.
-  const TicketPtr head = submit("big", big_probe);
-  while (service.stats().batches == 0) std::this_thread::yield();
-  const TicketPtr a1 = submit("other", small_probe);
-  const TicketPtr a2 = submit("other", small_probe);
-  const TicketPtr a3 = submit("other", small_probe);
-  const TicketPtr b = submit("big", big_probe);
+  // The long head query on A keeps the only worker busy while B, A, B
+  // queue behind it.
+  submit("a", head_probe);
+  submit("b", b_probe);
+  submit("a", a_probe);
+  submit("b", b_probe);
 
-  EXPECT_EQ(a1->wait().result.batch_size, 3u);
-  EXPECT_EQ(a2->wait().result.batch_size, 3u);
-  EXPECT_EQ(a3->wait().result.batch_size, 3u);
-  EXPECT_EQ(b->wait().result.batch_size, 1u);  // different subject: alone
-  service.drain();
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.max_batch, 3u);
-  EXPECT_EQ(stats.batched_queries, 3u);
+  for (std::size_t k = 0; k + 1 < sent.size(); ++k) {
+    const QueryResult& x = sent[k].ticket->wait().result;
+    const QueryOutcome& y = sent[k + 1].ticket->wait();
+    ASSERT_TRUE(y.ok) << y.error;
+    EXPECT_EQ(y.result.batch_size, 1u);
+    // Query k must have ended before query k+1 was dispatched: its
+    // earliest possible end is no later than k+1's latest possible
+    // dispatch.
+    EXPECT_LE(sent[k].before + x.total_s, sent[k + 1].after + y.result.wait_s)
+        << "query " << k + 1 << " was dispatched before query " << k
+        << " ended";
+  }
 }
 
 TEST(AlignService, DeadlineExpiredQueriesAreRejectedBeforeDispatch) {
@@ -445,7 +449,7 @@ TEST(AlignService, DeadlineExpiredQueriesAreRejectedBeforeDispatch) {
   QuerySpec doomed;
   doomed.subject = "chr";
   doomed.query = probe;
-  doomed.strategy = StrategyKind::kExact;  // not batchable with the head
+  doomed.strategy = StrategyKind::kExact;
   doomed.deadline_s = 1e-9;                // expires while queued
   const auto adm = service.submit(std::move(doomed));
   ASSERT_TRUE(adm.admitted());  // admission succeeded; dispatch rejects
@@ -477,7 +481,7 @@ TEST(AlignService, FullQueueRejectsWithBackpressure) {
     QuerySpec spec;
     spec.subject = "chr";
     spec.query = big_probe;
-    spec.strategy = StrategyKind::kExact;  // not batchable: queue stays full
+    spec.strategy = StrategyKind::kExact;  // long: the queue stays full
     const auto adm = service.submit(std::move(spec));
     tickets.push_back(adm.ticket);
     if (!adm.admitted()) {

@@ -8,7 +8,7 @@
 // with the serial reference.  `--report=<path>` writes a gdsm.run_report v3
 // document with the "service" section (docs/METRICS.md).
 //
-//   align_serve --subjects=2 --queries=12 --subject-len=4000 \
+//   align_serve --subjects=2 --queries=12 --subject-len=4000
 //               --query-len=400 --verify --report=serve.json
 #include <fstream>
 #include <iostream>
@@ -30,7 +30,7 @@ using gdsm::svc::StrategyKind;
 constexpr const char* kUsage =
     "usage: align_serve [--subjects=K] [--queries=N] [--subject-len=L]\n"
     "                   [--query-len=L] [--seed=S] [--procs=P] [--workers=W]\n"
-    "                   [--queue-cap=C] [--max-batch=B] [--strategy=NAME]\n"
+    "                   [--queue-cap=C] [--strategy=NAME]\n"
     "                   [--gap=MODEL] [--gap-open=O] [--gap-extend=E]\n"
     "                   [--deadline-s=D] [--verify] [--report=PATH] [--quiet]\n"
     "                   [--db=FASTA | --db-gen=K] [--min-score=N]\n"
@@ -73,17 +73,29 @@ gdsm::Sequence make_probe(const gdsm::Sequence& subject, std::size_t len,
 int main(int argc, char** argv) {
   const gdsm::Args args(argc, argv,
                         {"subjects", "queries", "subject-len", "query-len",
-                         "seed", "procs", "workers", "queue-cap", "max-batch",
-                         "strategy", "gap", "gap-open", "gap-extend",
-                         "deadline-s", "db", "db-gen", "min-score", "report"});
+                         "seed", "procs", "workers", "queue-cap", "strategy",
+                         "gap", "gap-open", "gap-extend", "deadline-s", "db",
+                         "db-gen", "min-score", "report"});
   const auto unknown = args.unknown_keys(
       {"subjects", "queries", "subject-len", "query-len", "seed", "procs",
-       "workers", "queue-cap", "max-batch", "strategy", "gap", "gap-open",
-       "gap-extend", "deadline-s", "db", "db-gen", "min-score", "verify",
-       "report", "quiet", "help"});
+       "workers", "queue-cap", "strategy", "gap", "gap-open", "gap-extend",
+       "deadline-s", "db", "db-gen", "min-score", "verify", "report", "quiet",
+       "help"});
   if (!unknown.empty() || args.get_bool("help")) {
     std::cerr << kUsage;
     return unknown.empty() ? 0 : 2;
+  }
+
+  // Counts and lengths must be positive: zero subjects would divide by zero
+  // when a probe picks its subject, a zero-length subject cannot load, and
+  // a negative value would wrap to a huge size (a negative --db-gen would
+  // generate sequences until memory runs out).
+  for (const char* key :
+       {"subjects", "queries", "subject-len", "query-len", "db-gen"}) {
+    if (args.get_int(key, 1) < 1) {
+      std::cerr << "align_serve: --" << key << " must be positive\n";
+      return 2;
+    }
   }
 
   const auto n_subjects =
@@ -120,7 +132,6 @@ int main(int argc, char** argv) {
   cfg.nprocs = static_cast<int>(args.get_int("procs", 4));
   cfg.workers = static_cast<int>(args.get_int("workers", 2));
   cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 64));
-  cfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
   cfg.verify = args.get_bool("verify");
   gdsm::svc::AlignService service(cfg);
 
@@ -203,7 +214,6 @@ int main(int argc, char** argv) {
     if (out.ok) {
       row.set("strategy", gdsm::svc::strategy_name(out.result.strategy));
       row.set("warm", out.result.warm);
-      row.set("batch_size", out.result.batch_size);
       row.set("candidates", out.result.candidates.size());
       row.set("wait_s", out.result.wait_s);
       row.set("total_s", out.result.total_s);
@@ -226,7 +236,6 @@ int main(int argc, char** argv) {
       std::cout << "query failed: " << out.error << "\n";
     } else if (out.result.strategy == StrategyKind::kDbScan) {
       std::cout << "query " << out.result.id << ": db_scan, "
-                << (out.result.warm ? "warm" : "cold") << ", "
                 << out.result.db_hits.size() << " hit(s)"
                 << (out.result.db_hits.empty()
                         ? ""
@@ -242,8 +251,7 @@ int main(int argc, char** argv) {
                 << (out.result.strategy == StrategyKind::kExact
                         ? " best " + std::to_string(out.result.best.score)
                         : "")
-                << ", batch " << out.result.batch_size << ", total "
-                << out.result.total_s * 1e3 << " ms\n";
+                << ", total " << out.result.total_s * 1e3 << " ms\n";
     }
   }
 
@@ -254,8 +262,7 @@ int main(int argc, char** argv) {
   if (!quiet) {
     std::cout << "align_serve: " << stats.completed << " completed, "
               << stats.failed << " failed, " << stats.warm_queries
-              << " warm / " << stats.cold_queries << " cold, "
-              << stats.batched_queries << " batched\n";
+              << " warm / " << stats.cold_queries << " cold\n";
   }
 
   if (args.has("report")) {

@@ -83,8 +83,9 @@ Json case_row(const gdsm::testing::OracleCase& c,
 /// The service-path twin of testing::run_differential: the case's genome
 /// pair is replayed through admission, the scheduler and the persistent
 /// cluster (one submit per unmasked strategy, all in flight together so
-/// batching engages), and every answer is judged against the serial
-/// references.  The fault plan rides on the service cluster's transport.
+/// the service's workers run them concurrently), and every answer is
+/// judged against the serial references.  The fault plan rides on the
+/// service cluster's transport.
 gdsm::testing::OracleVerdict run_service_case(
     const gdsm::testing::OracleCase& c, unsigned mask) {
   namespace svc = gdsm::svc;

@@ -41,7 +41,7 @@ using gdsm::svc::StrategyKind;
 constexpr const char* kUsage =
     "usage: loadgen [--rate=QPS] [--duration-s=S] [--subjects=K]\n"
     "               [--subject-len=L] [--query-len=L] [--seed=S] [--procs=P]\n"
-    "               [--workers=W] [--queue-cap=C] [--max-batch=B]\n"
+    "               [--workers=W] [--queue-cap=C]\n"
     "               [--deadline-s=D] [--exact-every=N] [--no-verify]\n"
     "               [--gap=MODEL] [--gap-open=O] [--gap-extend=E]\n"
     "               [--min-in-flight=N] [--db=FASTA | --db-gen=K]\n"
@@ -72,17 +72,28 @@ int main(int argc, char** argv) {
   const gdsm::Args args(argc, argv,
                         {"rate", "duration-s", "subjects", "subject-len",
                          "query-len", "seed", "procs", "workers", "queue-cap",
-                         "max-batch", "deadline-s", "exact-every", "gap",
-                         "gap-open", "gap-extend", "min-in-flight", "db",
-                         "db-gen", "min-score", "report"});
+                         "deadline-s", "exact-every", "gap", "gap-open",
+                         "gap-extend", "min-in-flight", "db", "db-gen",
+                         "min-score", "report"});
   const auto unknown = args.unknown_keys(
       {"rate", "duration-s", "subjects", "subject-len", "query-len", "seed",
-       "procs", "workers", "queue-cap", "max-batch", "deadline-s",
-       "exact-every", "gap", "gap-open", "gap-extend", "min-in-flight", "db",
-       "db-gen", "min-score", "no-verify", "report", "quiet", "help"});
+       "procs", "workers", "queue-cap", "deadline-s", "exact-every", "gap",
+       "gap-open", "gap-extend", "min-in-flight", "db", "db-gen",
+       "min-score", "no-verify", "report", "quiet", "help"});
   if (!unknown.empty() || args.get_bool("help")) {
     std::cerr << kUsage;
     return unknown.empty() ? 0 : 2;
+  }
+
+  // Counts and lengths must be positive: zero subjects would divide by zero
+  // when a probe picks its subject, a zero-length subject cannot load, and
+  // a negative value would wrap to a huge size (a negative --db-gen would
+  // generate sequences until memory runs out).
+  for (const char* key : {"subjects", "subject-len", "query-len", "db-gen"}) {
+    if (args.get_int(key, 1) < 1) {
+      std::cerr << "loadgen: --" << key << " must be positive\n";
+      return 2;
+    }
   }
 
   const double rate = args.get_double("rate", 20.0);
@@ -120,7 +131,6 @@ int main(int argc, char** argv) {
   cfg.nprocs = static_cast<int>(args.get_int("procs", 4));
   cfg.workers = static_cast<int>(args.get_int("workers", 2));
   cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 64));
-  cfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
   gdsm::svc::AlignService service(cfg);
 
   const bool db_mode = args.has("db") || args.has("db-gen");
@@ -242,7 +252,6 @@ int main(int argc, char** argv) {
     if (out.ok) {
       row.set("strategy", gdsm::svc::strategy_name(out.result.strategy));
       row.set("warm", out.result.warm);
-      row.set("batch_size", out.result.batch_size);
       row.set("wait_s", out.result.wait_s);
       row.set("total_s", out.result.total_s);
     } else {
