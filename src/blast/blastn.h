@@ -57,10 +57,9 @@ struct UngappedSegment {
 /// t[tp, tp+seed_len) along its diagonal: extend right then left, keeping
 /// the first maximal-scoring reach in each direction, abandoning a
 /// direction once the running score falls more than `xdrop` below the best.
-/// Operates on raw base arrays and allocates nothing, so a per-candidate
-/// cascade loop can call it for every chained run (docs/SERVICE.md
-/// "Cascade").  With `xdrop` >= match * min(s_len, t_len) the result is the
-/// maximal-scoring segment on the diagonal that contains the seed.
+/// Operates on raw base arrays and allocates nothing.  With `xdrop` >=
+/// match * min(s_len, t_len) the result is the maximal-scoring segment on
+/// the diagonal that contains the seed.
 UngappedSegment extend_ungapped_xdrop(const Base* s, std::size_t s_len,
                                       const Base* t, std::size_t t_len,
                                       std::size_t sp, std::size_t tp,

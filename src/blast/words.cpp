@@ -1,38 +1,6 @@
 #include "blast/words.h"
 
-#include <algorithm>
-
 namespace gdsm::blast {
-
-void chain_seed_runs(const SeedPair* pairs, std::size_t n, int k,
-                     std::vector<SeedRun>& runs,
-                     std::vector<SeedPair>& scratch) {
-  runs.clear();
-  if (n == 0 || k <= 0) return;
-  scratch.assign(pairs, pairs + n);
-  std::sort(scratch.begin(), scratch.end(),
-            [](const SeedPair& a, const SeedPair& b) {
-              const std::int64_t da = static_cast<std::int64_t>(a.s_pos) -
-                                      static_cast<std::int64_t>(a.q_pos);
-              const std::int64_t db = static_cast<std::int64_t>(b.s_pos) -
-                                      static_cast<std::int64_t>(b.q_pos);
-              if (da != db) return da < db;
-              return a.q_pos < b.q_pos;
-            });
-  const auto kk = static_cast<std::uint32_t>(k);
-  for (const SeedPair& p : scratch) {
-    const std::int64_t diag = static_cast<std::int64_t>(p.s_pos) -
-                              static_cast<std::int64_t>(p.q_pos);
-    if (!runs.empty() && runs.back().diagonal == diag &&
-        p.q_pos <= runs.back().q_end) {
-      SeedRun& run = runs.back();
-      run.q_end = std::max(run.q_end, p.q_pos + kk);
-      ++run.seeds;
-      continue;
-    }
-    runs.push_back(SeedRun{diag, p.q_pos, p.q_pos + kk, p.s_pos, 1});
-  }
-}
 
 bool pack_word(const Sequence& seq, std::size_t pos, int k,
                std::uint32_t* out) {

@@ -21,38 +21,6 @@ namespace gdsm::blast {
 bool pack_word(const Sequence& seq, std::size_t pos, int k,
                std::uint32_t* out);
 
-/// One exact q-gram co-occurrence: query word starting at q_pos matches the
-/// subject word starting at s_pos.  The database cascade gathers these from
-/// the posting index; blastn derives them from its per-subject WordIndex.
-struct SeedPair {
-  std::uint32_t q_pos = 0;
-  std::uint32_t s_pos = 0;
-};
-
-/// A maximal run of overlapping or touching seeds on one diagonal: the
-/// query columns [q_begin, q_end) match subject [s_begin, s_begin +
-/// (q_end - q_begin)) exactly.  `seeds` counts the word pairs joined in —
-/// the classic two-hit signal (>= 2 means two word hits joined on the
-/// diagonal; a lone word stays a single-seed run).
-struct SeedRun {
-  std::int64_t diagonal = 0;  ///< s_pos - q_pos
-  std::uint32_t q_begin = 0;
-  std::uint32_t q_end = 0;
-  std::uint32_t s_begin = 0;
-  std::uint32_t seeds = 0;
-
-  std::uint32_t length() const noexcept { return q_end - q_begin; }
-};
-
-/// Diagonal binning + two-hit joining: bins `pairs` (any order) by diagonal
-/// and merges seeds whose k-windows overlap or touch (q' <= q + k) into
-/// SeedRuns.  Appends nothing on n == 0.  `runs` is cleared first; `scratch`
-/// is caller-owned so a per-candidate loop never reallocates once warm.
-/// Output is sorted by (diagonal, q_begin).
-void chain_seed_runs(const SeedPair* pairs, std::size_t n, int k,
-                     std::vector<SeedRun>& runs,
-                     std::vector<SeedPair>& scratch);
-
 /// Word index of one sequence: code -> every position the word starts at,
 /// ascending.  The classic BLAST subject index, reused by src/db as the
 /// per-fragment q-gram index (there only membership is consulted).

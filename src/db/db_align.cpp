@@ -2,21 +2,61 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "db/meter.h"
+#include "simd/batch.h"
 #include "sw/linear_score.h"
 
 namespace gdsm::db {
 namespace {
 
-BestLocal best_score(const Sequence& query, const Sequence& frag,
-                     const ScoreScheme& scheme) {
-  // Both gap models ride the dispatched kernel layer (an affine scheme
-  // routes to the Gotoh kernels inside sw_best_score_linear), so filtration
-  // survivors are scored by whatever backend is active — including the
-  // striped query-profile kernels, for which the service pre-warms the
-  // query's profile once per db query (simd::warm_query_profile).
-  return sw_best_score_linear(query, frag, scheme);
+/// Scores fragments [0, count) against the query in tiles of
+/// simd::kBatchLanes and hands each result to emit(k, BestLocal).
+/// load(k, lane) returns fragment k's bases and length; the pointer must
+/// stay valid until its tile is scored, and `lane` lets a caller that
+/// copies fragments reuse one buffer slot per lane.
+///
+/// The batch kernel gives scores only: the rare fragments reaching
+/// min_score are rerun through sw_best_score_linear for their end cell, and
+/// the rerun must agree with the batch score.  Where the batch path does
+/// not apply (scalar backend, a bound beyond 16 bits, an out-of-alphabet
+/// query) every fragment takes sw_best_score_linear.  Either way a fragment
+/// scoring >= min_score carries the reference kernel's exact BestLocal.
+template <class Load, class Emit>
+void score_in_tiles(const Sequence& query, const ScoreScheme& scheme,
+                    int min_score, std::size_t count, Load&& load,
+                    Emit&& emit) {
+  const simd::ScoreParams sp{scheme.match, scheme.mismatch, scheme.gap,
+                             scheme.gap_open};
+  const Base* ptrs[simd::kBatchLanes];
+  std::size_t lens[simd::kBatchLanes];
+  std::int32_t scores[simd::kBatchLanes];
+  for (std::size_t t = 0; t < count; t += simd::kBatchLanes) {
+    const std::size_t n = std::min(simd::kBatchLanes, count - t);
+    for (std::size_t l = 0; l < n; ++l) {
+      std::tie(ptrs[l], lens[l]) = load(t + l, l);
+    }
+    const bool batched = simd::batch_best_scores(
+        query.data(), query.size(), ptrs, lens, n, sp, scores);
+    for (std::size_t l = 0; l < n; ++l) {
+      if (batched && scores[l] < min_score) {
+        emit(t + l, BestLocal{scores[l], 0, 0});
+        continue;
+      }
+      const BestLocal b = sw_best_score_linear(
+          query, Sequence("frag", std::basic_string<Base>(ptrs[l], lens[l])),
+          scheme);
+      if (batched && b.score != scores[l]) {
+        throw std::logic_error("db_query: batch score " +
+                               std::to_string(scores[l]) +
+                               " != rerun score " + std::to_string(b.score));
+      }
+      emit(t + l, b);
+    }
+  }
 }
 
 DbHit make_hit(const Fragment& f, int score, std::size_t end_i,
@@ -99,38 +139,32 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
   }
 
   DbQueryResult out;
-  SubjectDb::ScanResult scan = db.scan(query, scheme, min_score);
-  out.fragments_scanned = scan.scanned;
-  out.fragments_rejected = scan.rejected;
-  out.fragments_aligned = scan.forwarded.size();
-  out.fragments_resolved = scan.resolved.size();
-  out.cascade = scan.cascade;
-
-  // Certified candidates become hits directly: their score is exact and the
-  // scan already dropped certified resolutions below min_score.
-  for (const SubjectDb::ScanHit& r : scan.resolved) {
-    out.hits.push_back(
-        make_hit(db.fragments()[r.fragment], r.score, r.end_i, r.end_j));
-  }
+  const SubjectDb::Filtration filt = db.filter(query, scheme, min_score);
+  out.fragments_scanned = filt.scanned;
+  out.fragments_rejected = filt.rejected;
+  out.fragments_aligned = filt.survivors.size();
 
   std::vector<std::uint64_t> per_node_aligned(
       static_cast<std::size_t>(cluster.nodes()), 0);
 
-  const SubjectDb::Filtration filt{std::move(scan.forwarded), scan.scanned,
-                                   scan.rejected};
   if (!filt.survivors.empty() && !query.empty() &&
       filt.survivors.size() <= db.config().direct_align_max) {
-    // The cascade left too few candidates to amortize a cluster dispatch
-    // (two barriers dominate a fragment or two of DP): align them in place
-    // with the same dispatched kernel.  Hit-for-hit identical to the
-    // cluster path — only the transport differs.
-    for (const std::uint32_t fid : filt.survivors) {
-      const BestLocal b = best_score(query, db.fragment_seq(fid), scheme);
-      if (b.score < min_score) continue;
-      ++out.cascade.dp_confirmed;
-      out.hits.push_back(
-          make_hit(db.fragments()[fid], b.score, b.end_i, b.end_j));
-    }
+    // Too few survivors to amortize a cluster dispatch (two barriers
+    // dominate a fragment or two of DP): score them in place, straight
+    // from the host copy.  Hit-for-hit identical to the cluster path —
+    // only the transport differs.
+    score_in_tiles(
+        query, scheme, min_score, filt.survivors.size(),
+        [&](std::size_t k, std::size_t) {
+          const Fragment& f = db.fragments()[filt.survivors[k]];
+          return std::pair<const Base*, std::size_t>(
+              db.sequences()[f.seq_index].data() + f.begin, f.end - f.begin);
+        },
+        [&](std::size_t k, const BestLocal& b) {
+          if (b.score < min_score) return;
+          out.hits.push_back(make_hit(db.fragments()[filt.survivors[k]],
+                                      b.score, b.end_i, b.end_j));
+        });
   } else if (!filt.survivors.empty() && !query.empty()) {
     const std::size_t m = query.size();
     const std::size_t query_bytes = m * sizeof(Base);
@@ -157,6 +191,7 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
                       static_cast<std::size_t>(f.end - f.begin)});
       ++per_node_aligned[static_cast<std::size_t>(shards.plan().owner[fid])];
     }
+    const std::size_t frag_cap = db.config().fragment_len;
 
     std::vector<std::int32_t> gathered(work.size() * 3, 0);
     const dsm::Cluster::Ticket ticket = cluster.submit([&](dsm::Node& node) {
@@ -172,23 +207,31 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
                       query_bytes);
       const Sequence q("query", std::move(qbuf));
 
-      std::basic_string<Base> fbuf;
+      // This node's survivors stream through one tile buffer, 32 at a
+      // time, straight from the home copies of its shard.
+      std::vector<std::size_t> mine;
       for (std::size_t k = 0; k < work.size(); ++k) {
-        if (work[k].owner != node.id()) continue;
-        fbuf.assign(work[k].len, Base{});
-        node.read_bytes(work[k].addr,
-                        reinterpret_cast<std::byte*>(fbuf.data()),
-                        work[k].len * sizeof(Base));
-        const Sequence frag("frag", fbuf);
-        const BestLocal b = best_score(q, frag, scheme);
-        node.add_dp_cells(static_cast<std::uint64_t>(m) * work[k].len);
-        const std::int32_t triple[3] = {b.score,
-                                        static_cast<std::int32_t>(b.end_i),
-                                        static_cast<std::int32_t>(b.end_j)};
-        node.write_bytes(result_addr + k * 3 * sizeof(std::int32_t),
-                         reinterpret_cast<const std::byte*>(triple),
-                         sizeof(triple));
+        if (work[k].owner == node.id()) mine.push_back(k);
       }
+      std::vector<Base> fbuf(simd::kBatchLanes * frag_cap);
+      score_in_tiles(
+          q, scheme, min_score, mine.size(),
+          [&](std::size_t k, std::size_t lane) {
+            const Work& w = work[mine[k]];
+            Base* dst = fbuf.data() + lane * frag_cap;
+            node.read_bytes(w.addr, reinterpret_cast<std::byte*>(dst),
+                            w.len * sizeof(Base));
+            node.add_dp_cells(static_cast<std::uint64_t>(m) * w.len);
+            return std::pair<const Base*, std::size_t>(dst, w.len);
+          },
+          [&](std::size_t k, const BestLocal& b) {
+            const std::int32_t triple[3] = {
+                b.score, static_cast<std::int32_t>(b.end_i),
+                static_cast<std::int32_t>(b.end_j)};
+            node.write_bytes(result_addr + mine[k] * 3 * sizeof(std::int32_t),
+                             reinterpret_cast<const std::byte*>(triple),
+                             sizeof(triple));
+          });
       node.barrier();  // per-fragment diffs land at the home before gather
       if (node.id() == 0) {
         node.read_bytes(result_addr,
@@ -204,7 +247,6 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
     for (std::size_t k = 0; k < work.size(); ++k) {
       const std::int32_t score = gathered[k * 3];
       if (score < min_score) continue;
-      ++out.cascade.dp_confirmed;
       out.hits.push_back(make_hit(
           db.fragments()[work[k].fragment], score,
           static_cast<std::uint32_t>(gathered[k * 3 + 1]),
@@ -212,11 +254,11 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
     }
   }
   sort_hits(out.hits);
+  out.cascade.dp_confirmed = out.hits.size();
 
   db_meter_record_query(out.fragments_scanned, out.fragments_rejected,
                         out.fragments_aligned, out.hits.size(),
                         per_node_aligned);
-  db_meter_record_cascade(out.cascade);
   return out;
 }
 
@@ -228,7 +270,8 @@ std::vector<DbHit> brute_force_hits(const SubjectDb& db, const Sequence& query,
   std::vector<DbHit> hits;
   if (query.empty()) return hits;
   for (const Fragment& f : db.fragments()) {
-    const BestLocal b = best_score(query, db.fragment_seq(f.id), scheme);
+    const BestLocal b =
+        sw_best_score_linear(query, db.fragment_seq(f.id), scheme);
     if (b.score < min_score) continue;
     hits.push_back(make_hit(f, b.score, b.end_i, b.end_j));
   }

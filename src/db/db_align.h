@@ -5,12 +5,15 @@
 // arena homed at its owner and seeded once with host_write.  Only the owner
 // reads a fragment, straight from its home copy, so no shard page is ever
 // cached on another node.  db_query then runs one SPMD job per query:
-// node 0 publishes the query into shared memory, every node aligns the
-// filtration survivors resident in *its* shard with the SIMD-dispatched
-// score kernels (local home reads — sharding is the data-locality play),
-// the per-fragment results travel back through shared memory (diffs to
-// home at the barrier, so the run exercises the comm plane and fault plans
-// like every other strategy), and the host assembles the hit list.
+// node 0 publishes the query into shared memory, every node scores the
+// filtration survivors resident in *its* shard with the inter-sequence
+// batch kernel, 32 fragments per tile (simd/batch.h; local home reads —
+// sharding is the data-locality play), the per-fragment results travel
+// back through shared memory (diffs to home at the barrier, so the run
+// exercises the comm plane and fault plans like every other strategy), and
+// the host assembles the hit list.  The rare fragments that reach
+// min_score are rerun through sw_best_score_linear for their end cell, so
+// hits are the reference kernel's answer by construction.
 #pragma once
 
 #include <cstddef>
@@ -71,10 +74,9 @@ struct DbQueryResult {
   std::vector<DbHit> hits;  ///< score descending, then fragment ascending
   std::size_t fragments_scanned = 0;
   std::size_t fragments_rejected = 0;
-  std::size_t fragments_aligned = 0;   ///< candidates that ran full DP
-  std::size_t fragments_resolved = 0;  ///< certified by the cascade, no DP
-  CascadeCounters cascade;             ///< funnel counters of this query
-  std::uint64_t cache_hits = 0;        ///< DSM residency counters of the job
+  std::size_t fragments_aligned = 0;  ///< candidates that ran full DP
+  CascadeCounters cascade;  ///< dp_confirmed only; the rest is always 0
+  std::uint64_t cache_hits = 0;  ///< DSM residency counters of the job
   std::uint64_t read_faults = 0;
 };
 

@@ -35,11 +35,6 @@ void db_meter_record_query(std::size_t scanned, std::size_t rejected,
   }
 }
 
-void db_meter_record_cascade(const CascadeCounters& counters) {
-  const std::scoped_lock lk(g_mu);
-  g_totals.cascade += counters;
-}
-
 void db_meter_record_index_open() {
   const std::scoped_lock lk(g_mu);
   ++g_totals.index_opens;

@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "db/cascade.h"
-
 namespace gdsm::db {
 
 struct DbMeterSnapshot {
@@ -20,8 +18,6 @@ struct DbMeterSnapshot {
   std::uint64_t fragments_aligned = 0;   ///< survivors fed to the kernels
   std::uint64_t hits = 0;                ///< fragments reported >= min_score
   std::uint64_t index_opens = 0;  ///< warm load_db via a persisted index
-  /// Seed-and-extend funnel totals (schema v10 `db.cascade`).
-  CascadeCounters cascade;
   /// Residency and work placement per cluster node, for the shard-balance
   /// picture: bases resident (summed over every DbShards built) and
   /// fragments aligned on each node.  Sized to the widest cluster seen.
@@ -43,7 +39,6 @@ void db_meter_record_query(std::size_t scanned, std::size_t rejected,
                            std::size_t aligned, std::size_t hits,
                            const std::vector<std::uint64_t>& per_node_aligned);
 void db_meter_record_shards(const std::vector<std::uint64_t>& per_node_bases);
-void db_meter_record_cascade(const CascadeCounters& counters);
 /// One successful warm open of a persisted q-gram index (load path).
 void db_meter_record_index_open();
 

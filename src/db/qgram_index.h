@@ -3,11 +3,10 @@
 //
 // The index is a CSR over 2-bit-packed q-gram codes: for each code the
 // exact list of (fragment, position) occurrences, sorted by (code,
-// fragment, position).  It serves two consumers on the db_query hot path
-// (subject_db.h): the admissible filtration bound needs "which query
-// windows are seeded in fragment f", and the cascade's seed-and-extend
-// stage needs the *positions* so seeds can be chained on diagonals and
-// X-drop extended (docs/SERVICE.md "Cascade").
+// fragment, position).  The db_query hot path (subject_db.h) reads only
+// the fragment of each posting: the admissible filtration bound needs
+// "which query windows are seeded in fragment f".  The positions stay in
+// the persisted format, which a change would have to re-version.
 //
 // Persistence: save() writes a single versioned flat file — a 64-byte
 // header carrying the geometry (q, fragment_len, overlap, n_fragments) and

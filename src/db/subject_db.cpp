@@ -33,9 +33,8 @@ constexpr int kNeg = -(1 << 28);
 /// the DP returns as soon as even the best finish, vmax + a*(m-j) (every
 /// remaining column adds at most `a` to any state), stays below it — an
 /// upper bound on the exact value that the scan rejects anyway.  Any value
-/// that reaches reject_below is exact, so a survivor's bound (the cascade's
-/// exact_bound) is the batch kernel's, bit for bit.  INT_MIN (the default)
-/// disables the exit.
+/// that reaches reject_below is exact, so a survivor's bound is the batch
+/// kernel's, bit for bit.  INT_MIN (the default) disables the exit.
 ///
 /// The DP loop is templated on the q-gram length: QF != 0 bakes q into the
 /// type so the state vector lives in registers and the per-column r-loops
@@ -107,26 +106,6 @@ int seeded_bound_impl(std::size_t m, const std::uint64_t* seed,
     default:
       return seeded_bound_core<0>(m, seed, windows, a, p, q, reject_below);
   }
-}
-
-/// The first posting at or after `it` whose fragment is >= f: a galloping
-/// search, so a cursor that is already there (every fragment survives)
-/// costs one compare and a long skip costs a logarithmic number.
-const QGramIndex::Entry* seek_fragment(const QGramIndex::Entry* it,
-                                       const QGramIndex::Entry* end,
-                                       std::uint32_t f) {
-  if (it == end || it->fragment >= f) return it;
-  std::size_t step = 1;  // invariant: it->fragment < f
-  while (static_cast<std::size_t>(end - it) > step && it[step].fragment < f) {
-    it += step;
-    step *= 2;
-  }
-  const QGramIndex::Entry* hi =
-      it + std::min(step, static_cast<std::size_t>(end - it));
-  return std::lower_bound(it + 1, hi, f,
-                          [](const QGramIndex::Entry& e, std::uint32_t v) {
-                            return e.fragment < v;
-                          });
 }
 
 }  // namespace
@@ -226,8 +205,10 @@ int qgram_score_bound(const Sequence& a, const Sequence& b,
   return seeded_run_bound(m, seed, scheme, q);
 }
 
-void SubjectDb::scan_impl(const Sequence& query, const ScoreScheme& scheme,
-                          int min_score, bool cascade, ScanResult& out) const {
+SubjectDb::Filtration SubjectDb::filter(const Sequence& query,
+                                        const ScoreScheme& scheme,
+                                        int min_score) const {
+  Filtration out;
   out.scanned = fragments_.size();
   const std::size_t m = query.size();
   const std::size_t q = cfg_.q;
@@ -237,22 +218,14 @@ void SubjectDb::scan_impl(const Sequence& query, const ScoreScheme& scheme,
   // when the query q-gram at window w occurs in the fragment.  Every
   // posting of every query window is touched once, as a single OR; the
   // ~100 KB map (a 150 bp probe over ~4k fragments) stays in L2.  Nothing
-  // else is written per posting: seed positions are gathered later, and
-  // only for the fragments that survive the bound.
+  // else is written per posting.
   const std::size_t words = (windows + 63) / 64;
-  struct Postings {
-    const QGramIndex::Entry* next = nullptr;  ///< gather cursor (pass 3)
-    const QGramIndex::Entry* end = nullptr;
-  };
   static thread_local std::vector<std::uint64_t> seed_bits;
-  static thread_local std::vector<Postings> postings;  // one per window
   seed_bits.assign(fragments_.size() * words, 0);
-  postings.assign(windows, Postings{});
   for (std::size_t i = 0; i < windows; ++i) {
     std::uint32_t code;
     if (!blast::pack_word(query, i, static_cast<int>(q), &code)) continue;
     const std::span<const QGramIndex::Entry> list = index_.lookup(code);
-    postings[i] = Postings{list.data(), list.data() + list.size()};
     std::uint64_t* column = seed_bits.data() + (i >> 6);
     const std::uint64_t bit = std::uint64_t{1} << (i & 63);
     for (const QGramIndex::Entry& e : list) column[e.fragment * words] |= bit;
@@ -315,86 +288,28 @@ void SubjectDb::scan_impl(const Sequence& query, const ScoreScheme& scheme,
     }
   }
 
-  // Pass 3, in fragment order so forwarded ids come out ascending: apply
-  // verdicts and run the cascade on the survivors.  A survivor's seed
-  // pairs are gathered from the postings of its seeded windows only, in
-  // ascending (q_pos, s_pos): each window's posting list is sorted by
-  // fragment, and survivors arrive in ascending id, so one forward cursor
-  // per window galloping to the survivor finds its entries — in total no
-  // more work than one pass over the postings, even when every fragment
-  // survives.
-  static thread_local CascadeScratch scratch;
+  // Pass 3, in fragment order so survivor ids come out ascending.
   std::size_t ci = 0;
   for (std::uint32_t f = 0; f < fragments_.size(); ++f) {
-    if (verdict[f] == kForward) {
-      out.forwarded.push_back(f);
-      continue;
-    }
-    if (verdict[f] == kReject) {
-      ++out.rejected;
-      continue;
-    }
-    const int bound = bounds[ci++];
-    if (bound < min_score) {
-      ++out.rejected;
-      continue;
-    }
-    if (!cascade) {
-      out.forwarded.push_back(f);
-      continue;
-    }
-    scratch.pairs.clear();
-    const std::uint64_t* row = seed_bits.data() + f * words;
-    for (std::size_t k = 0; k < words; ++k) {
-      for (std::uint64_t rest = row[k]; rest != 0; rest &= rest - 1) {
-        const std::size_t w = k * 64 + std::countr_zero(rest);
-        Postings& pw = postings[w];
-        const QGramIndex::Entry* e = seek_fragment(pw.next, pw.end, f);
-        for (; e != pw.end && e->fragment == f; ++e) {
-          scratch.pairs.push_back(
-              blast::SeedPair{static_cast<std::uint32_t>(w), e->pos});
-        }
-        pw.next = e;
-      }
-    }
-    out.cascade.seeds += scratch.pairs.size();
-    const Fragment& frag = fragments_[f];
-    const CascadeOutcome r = cascade_try_resolve(
-        query, seqs_[frag.seq_index].data() + frag.begin,
-        static_cast<std::size_t>(frag.end - frag.begin), scheme, bound,
-        no_seed_bound, q, scratch);
-    out.cascade.chains += r.chains;
-    out.cascade.extensions += r.extensions;
-    if (r.resolved) {
-      // The cascade's score is exact, so a sub-threshold resolution is a
-      // certified non-hit: the candidate is dropped without any full DP.
-      ++out.cascade.dp_skipped_by_bound;
-      if (r.score >= min_score) {
-        out.resolved.push_back(ScanHit{f, r.score, r.end_i, r.end_j});
-      }
+    const bool keep = verdict[f] == kForward ||
+                      (verdict[f] == kNeedDp && bounds[ci++] >= min_score);
+    if (keep) {
+      out.survivors.push_back(f);
     } else {
-      out.forwarded.push_back(f);
+      ++out.rejected;
     }
   }
-}
-
-SubjectDb::Filtration SubjectDb::filter(const Sequence& query,
-                                        const ScoreScheme& scheme,
-                                        int min_score) const {
-  ScanResult r;
-  scan_impl(query, scheme, min_score, /*cascade=*/false, r);
-  Filtration out;
-  out.scanned = r.scanned;
-  out.rejected = r.rejected;
-  out.survivors = std::move(r.forwarded);
   return out;
 }
 
 SubjectDb::ScanResult SubjectDb::scan(const Sequence& query,
                                       const ScoreScheme& scheme,
                                       int min_score) const {
+  Filtration filt = filter(query, scheme, min_score);
   ScanResult out;
-  scan_impl(query, scheme, min_score, /*cascade=*/true, out);
+  out.forwarded = std::move(filt.survivors);
+  out.scanned = filt.scanned;
+  out.rejected = filt.rejected;
   return out;
 }
 

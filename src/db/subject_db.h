@@ -1,12 +1,10 @@
-// The multi-sequence subject database and its cascaded filtration
-// front-end.
+// The multi-sequence subject database and its filtration front-end.
 //
 // Production traffic is a query against a *database*, not one resident
 // subject: a SubjectDb holds many FASTA sequences partitioned into
 // fixed-size overlapping fragments, plus a positional q-gram index
-// (qgram_index.h) over the fragments.  A db query walks an ALAE-style
-// cascade of admissible stages, each strictly cheaper than the next
-// (docs/SERVICE.md "Cascade"):
+// (qgram_index.h) over the fragments.  A db query runs two stages
+// (docs/SERVICE.md "Database serving"):
 //
 //   1. q-gram bound — every fragment is screened with an admissible score
 //      upper bound computed from which query q-grams occur in it; a
@@ -16,17 +14,13 @@
 //      per-query seed bitmap, one bit per (fragment, query window), set
 //      with one OR per posting of the query's windows.  A constant-time
 //      prefilter (min(match * m, B0 + |S| * (match + p)), |S| the row's
-//      popcount — see scan_impl) skips the bound DP entirely for fragments
+//      popcount — see filter()) skips the bound DP entirely for fragments
 //      it already condemns; the rest get the DP, batched 8 per AVX2
 //      vector or one by one, both reading the bitmap rows.
-//   2. seed-and-extend — survivors get their seed occurrences (gathered
-//      from the postings for survivors only) chained on diagonals and
-//      X-drop-extended (cascade.h); a candidate whose
-//      extension score *meets* its bound is resolved host-side with a
-//      certified exact score and never reaches full DP.
-//   3. full DP — whatever remains is aligned by the SIMD-dispatched score
-//      kernels (db_align.h), on the cluster or host-side when the
-//      remainder is too small to amortize a cluster dispatch.
+//   2. full DP — every survivor is scored by the inter-sequence batch
+//      kernel, 32 fragments per tile (simd/batch.h), on the cluster or
+//      host-side when the survivors are too few to amortize a cluster
+//      dispatch (db_align.h).
 //
 // The stage-1 bound (docs/SERVICE.md has the derivation): any run of >= q
 // consecutive match columns in a local alignment is an exact q-length
@@ -48,12 +42,21 @@
 #include <string>
 #include <vector>
 
-#include "db/cascade.h"
 #include "db/qgram_index.h"
 #include "sw/scoring.h"
 #include "util/sequence.h"
 
 namespace gdsm::db {
+
+/// Counters of the deleted seed-and-extend stage, kept only because the
+/// serving benchmark (perfbench/) still reads them: `seeds` and
+/// `extensions` are always 0.  `dp_confirmed` counts the forwarded
+/// candidates whose full DP reached min_score.
+struct CascadeCounters {
+  std::uint64_t seeds = 0;
+  std::uint64_t extensions = 0;
+  std::uint64_t dp_confirmed = 0;
+};
 
 struct DbConfig {
   /// Fragment partition width, in bases.  Fragments are the filtration and
@@ -120,34 +123,22 @@ class SubjectDb {
     std::size_t rejected = 0;
   };
 
-  /// Stage 1 only: keeps exactly those fragments whose admissible score
+  /// Stage 1: keeps exactly those fragments whose admissible score
   /// bound reaches `min_score`.  Exact: a rejected fragment cannot score
   /// >= min_score under `scheme` (linear or affine).
   Filtration filter(const Sequence& query, const ScoreScheme& scheme,
                     int min_score) const;
 
-  /// A candidate the cascade resolved host-side: `score` is the candidate's
-  /// exact best local score (certified, >= min_score) and end_i/end_j the
-  /// reference kernel's end cell.
-  struct ScanHit {
-    std::uint32_t fragment = 0;
-    int score = 0;
-    std::uint32_t end_i = 0;
-    std::uint32_t end_j = 0;
-  };
-
   struct ScanResult {
     std::vector<std::uint32_t> forwarded;  ///< fragment ids for full DP, asc
-    std::vector<ScanHit> resolved;         ///< certified, no DP needed
+    std::vector<std::uint32_t> resolved;   ///< always empty (perfbench reads it)
     std::size_t scanned = 0;
     std::size_t rejected = 0;
-    CascadeCounters cascade;  ///< funnel counters of this scan
+    CascadeCounters cascade;  ///< always 0 (perfbench reads it)
   };
 
-  /// The full cascade front-end of db_query: stage 1 over every fragment,
-  /// then stage 2 over the survivors.  The union of resolved and forwarded
-  /// fragments is exactly filter()'s survivor set: the cascade changes
-  /// costs, never results.
+  /// filter() in the shape the serving benchmark reads: `forwarded` is
+  /// exactly filter()'s survivor set.
   ScanResult scan(const Sequence& query, const ScoreScheme& scheme,
                   int min_score) const;
 
@@ -159,8 +150,6 @@ class SubjectDb {
  private:
   void build_fragments();
   QGramIndex::Geometry geometry() const;
-  void scan_impl(const Sequence& query, const ScoreScheme& scheme,
-                 int min_score, bool cascade, ScanResult& out) const;
 
   DbConfig cfg_;
   std::vector<Sequence> seqs_;

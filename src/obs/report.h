@@ -54,7 +54,7 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// fragments_resolved and a "cascade" object (seeds, chains, extensions,
 /// dp_skipped_by_bound, dp_confirmed and a persisted-index open count)
 /// covering the certified middle stage and the persisted mmap q-gram index
-/// (docs/METRICS.md "db.cascade", docs/SERVICE.md "Cascade").
+/// (removed again in v13).
 /// v11: one DSM data plane — the "comm" section lost "mode" and the
 /// read-ahead counters (NodeStats too), and the persisted-index open count
 /// moved out of the per-query cascade funnel to "db.index_opens".  Tools
@@ -62,7 +62,13 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// v12: one dispatch per query — the "service" section lost its
 /// "batching" object, and residency.warm_queries/cold_queries count subject
 /// queries only: database scans are neither (docs/METRICS.md v12).
-inline constexpr int kSchemaVersion = 12;
+/// v13: the seed-and-extend cascade is gone — the "db" section lost
+/// "cascade" (its dp_confirmed moved up into "db") and the service's
+/// fragments_resolved; the "kernel" section gained the "batch" counters of
+/// the inter-sequence kernel; residency.warm_queries/cold_queries count
+/// only queries that read the subject's DSM pages (wavefront, blocked)
+/// (docs/METRICS.md v13).
+inline constexpr int kSchemaVersion = 13;
 
 /// Schema of the merged baseline produced by tools/merge_reports.
 inline constexpr const char* kBaselineSchema = "gdsm.baseline";

@@ -134,6 +134,7 @@ Json kernel_stats_json(bool host_clock) {
   j.set("hits", kernel_counters_json(ks.hits, host_clock));
   j.set("nw", kernel_counters_json(ks.nw, host_clock));
   j.set("nw_affine", kernel_counters_json(ks.nw_affine, host_clock));
+  j.set("batch", kernel_counters_json(ks.batch, host_clock));
   // v6: which gap models this run's kernels served.  The linear counters
   // above aggregate both models (one dispatch table serves both); the
   // affine-only nw_affine block plus this marker lets consumers split runs.
@@ -179,13 +180,9 @@ Json db_stats_json() {
   j.set("filtration_rate", s.filtration_rate());
   j.set("hits", s.hits);
   j.set("index_opens", s.index_opens);
-  Json cascade = Json::object();
-  cascade.set("seeds", s.cascade.seeds);
-  cascade.set("chains", s.cascade.chains);
-  cascade.set("extensions", s.cascade.extensions);
-  cascade.set("dp_skipped_by_bound", s.cascade.dp_skipped_by_bound);
-  cascade.set("dp_confirmed", s.cascade.dp_confirmed);
-  j.set("cascade", std::move(cascade));
+  // v13: every hit is a forwarded fragment confirmed by full DP, so the
+  // former cascade funnel's last counter equals hits.
+  j.set("dp_confirmed", s.hits);
   Json balance = Json::object();
   Json bases = Json::array();
   for (const std::uint64_t b : s.node_bases) bases.push(b);

@@ -40,7 +40,7 @@ Json to_json(const sim::Breakdown& bd);
 Json space_usage_json(const dsm::GlobalSpace& space);
 
 /// {backend, best: {calls, cells[, seconds, cells_per_second]}, count: ...,
-/// hits: ..., nw: ...} — the dispatched-kernel counters since process start
+/// hits: ..., nw: ..., nw_affine: ..., batch: ...} — the dispatched-kernel counters since process start
 /// (simd::kernel_stats()).  Timing fields are emitted only when
 /// `host_clock` is true: call counts and cell totals replay
 /// deterministically, wall-clock inside the kernels does not.
@@ -52,7 +52,7 @@ Json kernel_stats_json(bool host_clock);
 Json comm_stats_json();
 
 /// {queries, fragments_scanned, fragments_rejected, fragments_aligned,
-/// filtration_rate, hits, index_opens, cascade: {...},
+/// filtration_rate, hits, dp_confirmed, index_opens,
 /// shard_balance: {node_bases: [...],
 /// node_aligned: [...]}} — the database-serving totals since process start
 /// (db::db_meter_snapshot()): how many fragments the q-gram filter rejected

@@ -58,7 +58,7 @@ std::string validate_sections(const Json* sections) {
       backend->as_string().empty()) {
     return "sections.kernel.backend missing or empty";
   }
-  for (const char* k : {"best", "count", "hits", "nw", "nw_affine"}) {
+  for (const char* k : {"best", "count", "hits", "nw", "nw_affine", "batch"}) {
     const Json* counters = kernel->find(k);
     if (counters == nullptr || !counters->is_object() ||
         counters->find("calls") == nullptr ||
@@ -89,13 +89,13 @@ std::string validate_sections(const Json* sections) {
                          "empty_diffs_suppressed", "round_trips_saved"});
   if (!why.empty()) return why;
 
-  // db: filtration totals, index opens, shard balance and the cascade funnel.
+  // db: filtration totals, index opens and shard balance.
   const Json* db = section("db");
   if (db == nullptr) return "report without sections.db";
   why = require_numbers(*db, "sections.db",
                         {"queries", "fragments_scanned", "fragments_rejected",
                          "fragments_aligned", "filtration_rate", "hits",
-                         "index_opens"});
+                         "dp_confirmed", "index_opens"});
   if (!why.empty()) return why;
   const Json* balance = db->find("shard_balance");
   if (balance == nullptr || !balance->is_object() ||
@@ -106,14 +106,6 @@ std::string validate_sections(const Json* sections) {
     return "report without sections.db.shard_balance node_bases/"
            "node_aligned arrays";
   }
-  const Json* cascade = db->find("cascade");
-  if (cascade == nullptr || !cascade->is_object()) {
-    return "report without sections.db.cascade";
-  }
-  why = require_numbers(*cascade, "sections.db.cascade",
-                        {"seeds", "chains", "extensions",
-                         "dp_skipped_by_bound", "dp_confirmed"});
-  if (!why.empty()) return why;
 
   // dsm: the execution backend and the process-backend counters.
   const Json* dsm = section("dsm");

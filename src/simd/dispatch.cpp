@@ -1,12 +1,28 @@
 #include "simd/dispatch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <stdexcept>
+
+#include "simd/batch.h"
 
 namespace gdsm::simd {
+
+#if GDSM_SIMD_AVX2
+namespace avx2 {
+// The -mavx2 sweep behind batch_best_scores (batch_avx2.cpp); lane_bits is
+// 8 or 16.
+void batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
+                       const std::size_t* lens, std::size_t count,
+                       const ScoreParams& sp, int lane_bits,
+                       std::int32_t* out);
+}  // namespace avx2
+#endif
+
 namespace {
 
 struct Entry {
@@ -112,7 +128,7 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> nanos{0};
 };
 
-AtomicCounters g_best, g_count, g_hits, g_nw, g_nw_affine;
+AtomicCounters g_best, g_count, g_hits, g_nw, g_nw_affine, g_batch;
 
 class Meter {
  public:
@@ -209,6 +225,50 @@ void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
                           out_e);
 }
 
+int batch_lane_bits(std::size_t m, std::size_t n_max, const ScoreParams& sp) {
+  if (sp.match <= 0 || sp.mismatch >= 0 || sp.gap >= 0 || sp.gap_open > 0) {
+    return 0;
+  }
+  // No cell exceeds match * min(m, n); one biased substitution (match +
+  // bias, bias = -mismatch) on top of it is the widest intermediate.
+  const auto reach = static_cast<std::int64_t>(
+      std::min({m, n_max, std::size_t{1} << 20}));
+  const std::int64_t top =
+      std::int64_t{sp.match} * reach + sp.match - sp.mismatch;
+  const std::int64_t gap_oe = -(std::int64_t{sp.gap_open} + sp.gap);
+  if (top <= 255 && gap_oe <= 255) return 8;
+  if (top <= 65535 && gap_oe <= 65535) return 16;
+  return 0;
+}
+
+bool batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
+                       const std::size_t* lens, std::size_t count,
+                       const ScoreParams& sp, std::int32_t* out) {
+#if GDSM_SIMD_AVX2
+  if (count > kBatchLanes) {
+    throw std::invalid_argument("batch_best_scores: more than kBatchLanes");
+  }
+  if (active_backend() == Backend::kScalar) return false;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (q[i] >= kAlphabetSize) return false;
+  }
+  std::size_t n_max = 0;
+  std::uint64_t cells = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    n_max = std::max(n_max, lens[k]);
+    cells += static_cast<std::uint64_t>(m) * lens[k];
+  }
+  const int bits = batch_lane_bits(m, n_max, sp);
+  if (bits == 0) return false;
+  Meter meter(g_batch, cells);
+  avx2::batch_best_scores(q, m, frags, lens, count, sp, bits, out);
+  return true;
+#else
+  (void)q, (void)m, (void)frags, (void)lens, (void)count, (void)sp, (void)out;
+  return false;
+#endif
+}
+
 KernelStats kernel_stats() {
   KernelStats out;
   out.backend = active_backend_name();
@@ -217,6 +277,7 @@ KernelStats kernel_stats() {
   out.hits = snapshot(g_hits);
   out.nw = snapshot(g_nw);
   out.nw_affine = snapshot(g_nw_affine);
+  out.batch = snapshot(g_batch);
   out.striped = striped_counters();
   return out;
 }

@@ -92,6 +92,7 @@ struct KernelStats {
   KernelCounters hits;       ///< block_hits
   KernelCounters nw;         ///< nw_last_row
   KernelCounters nw_affine;  ///< nw_last_row_affine
+  KernelCounters batch;      ///< batch_best_scores (batch.h)
   StripedCounters striped;   ///< striped-path activity (striped.h)
 };
 

@@ -57,9 +57,9 @@ StripedCounters striped_counters();
 
 /// Pre-builds (or refreshes the cache slot of) the striped profile for
 /// `q[0..len)` under `sp`, keyed by (query bytes, params).  A no-op unless
-/// striped-avx2 is active.  The service calls this once per admitted
-/// database query so every shard scan of the batch hits the cache
-/// (docs/SERVICE.md).
+/// striped-avx2 is active.  A caller about to run many block_best calls on
+/// one query (the serving benchmark's per-fragment replay) builds the
+/// profile once up front instead of inside the first call.
 void warm_query_profile(const Base* q, std::size_t len, const ScoreParams& sp);
 
 /// Drops every cached profile (tests; isolates cache-counter assertions).

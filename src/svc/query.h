@@ -75,9 +75,11 @@ struct QueryResult {
   std::size_t db_fragments_scanned = 0;   ///< db scan: fragments considered
   std::size_t db_fragments_rejected = 0;  ///< db scan: pruned before DP
   std::size_t db_fragments_aligned = 0;   ///< db scan: filtration survivors
-  std::size_t db_fragments_resolved = 0;  ///< db scan: cascade-certified
   bool overflow = false;
-  bool warm = false;  ///< subject was resident-warm at dispatch (db: false)
+  /// The strategy read the resident subject's DSM pages (wavefront,
+  /// blocked) and found them cached from an earlier query.  False for
+  /// blocked_mp, exact and db scans, which read no DSM page of the subject.
+  bool warm = false;
   /// Always 1: every query is its own dispatch.  Kept only because the
   /// serving benchmark's svc.batch_size_mean reads it; both go together.
   std::size_t batch_size = 1;

@@ -10,7 +10,6 @@
 #include "core/wavefront.h"
 #include "db/meter.h"
 #include "simd/dispatch.h"
-#include "simd/striped.h"
 #include "sw/affine.h"
 
 namespace gdsm::svc {
@@ -229,14 +228,6 @@ void AlignService::execute_one(PendingQuery& q) {
       out.error = "database queries need min_score >= 1";
     } else {
       try {
-        // Build the striped query profile once, before the shard fan-out:
-        // every filtration survivor of this query then hits the profile
-        // cache instead of racing to build it (no-op for non-striped
-        // backends; docs/KERNELS.md "Query-profile cache").
-        simd::warm_query_profile(
-            q.spec.query.data(), q.spec.query.size(),
-            simd::ScoreParams{q.spec.scheme.match, q.spec.scheme.mismatch,
-                              q.spec.scheme.gap, q.spec.scheme.gap_open});
         db::DbQueryResult r =
             db::db_query(cluster_, dbp->db, dbp->shards, q.spec.query,
                          q.spec.scheme, q.spec.min_score);
@@ -244,7 +235,6 @@ void AlignService::execute_one(PendingQuery& q) {
         out.result.db_fragments_scanned = r.fragments_scanned;
         out.result.db_fragments_rejected = r.fragments_rejected;
         out.result.db_fragments_aligned = r.fragments_aligned;
-        out.result.db_fragments_resolved = r.fragments_resolved;
         out.result.cache_hits = r.cache_hits;
         out.result.read_faults = r.read_faults;
         out.ok = true;
@@ -273,7 +263,6 @@ void AlignService::execute_one(PendingQuery& q) {
                    .strategy;
     }
     out.result.strategy = chosen;
-    out.result.warm = warm;
     try {
       if (q.spec.inject_failure_node >= 0) {
         const int bad = q.spec.inject_failure_node % cfg_.nprocs;
@@ -369,6 +358,7 @@ void AlignService::execute_one(PendingQuery& q) {
         cluster_failed = true;
       }
     }
+    out.result.warm = warm && resident_used;
 
     if (out.ok && cfg_.verify) {
       if (chosen == StrategyKind::kExact) {
@@ -415,12 +405,12 @@ void AlignService::execute_one(PendingQuery& q) {
       } else {
         ++stats_.linear_queries;
       }
-      if (subj != nullptr) {
-        if (warm) {
-          ++stats_.warm_queries;
-        } else {
-          ++stats_.cold_queries;
-        }
+      if (resident_used) {
+        // Only wavefront and blocked read the subject's DSM pages: they
+        // count as warm or cold, and pull the pages into the node caches,
+        // so the next such query on the subject runs warm.
+        ++(warm ? stats_.warm_queries : stats_.cold_queries);
+        subjects_.at(q.spec.subject).warm = true;
       }
       stats_.cache_hits += out.result.cache_hits;
       stats_.read_faults += out.result.read_faults;
@@ -431,13 +421,7 @@ void AlignService::execute_one(PendingQuery& q) {
         stats_.db_fragments_scanned += out.result.db_fragments_scanned;
         stats_.db_fragments_rejected += out.result.db_fragments_rejected;
         stats_.db_fragments_aligned += out.result.db_fragments_aligned;
-        stats_.db_fragments_resolved += out.result.db_fragments_resolved;
         stats_.db_hits += out.result.db_hits.size();
-      }
-      if (resident_used) {
-        // This dispatch pulled the subject's pages into the node caches;
-        // the next query on it runs warm.
-        subjects_.at(q.spec.subject).warm = true;
       }
     } else {
       ++stats_.failed;

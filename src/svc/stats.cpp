@@ -105,7 +105,6 @@ obs::Json ServiceStats::to_json() const {
   db.set("fragments_scanned", db_fragments_scanned);
   db.set("fragments_rejected", db_fragments_rejected);
   db.set("fragments_aligned", db_fragments_aligned);
-  db.set("fragments_resolved", db_fragments_resolved);
   db.set("filtration_rate",
          db_fragments_scanned
              ? static_cast<double>(db_fragments_rejected) /

@@ -45,8 +45,10 @@ struct ServiceStats {
   std::uint64_t failed = 0;      ///< node-program failure or divergence
   std::uint64_t recoveries = 0;  ///< failed jobs the pool absorbed
   // -- residency --------------------------------------------------------
-  // Subject queries only: a database's shards are read in place by their
-  // owners, so a db scan is neither warm nor cold.
+  // Queries whose strategy reads the resident subject's DSM pages
+  // (wavefront, blocked) only: blocked_mp and exact copy the subject out of
+  // band, and a database's shards are read in place by their owners, so
+  // those are neither warm nor cold.
   std::uint64_t warm_queries = 0;  ///< subject cached from an earlier query
   std::uint64_t cold_queries = 0;
   std::uint64_t cache_hits = 0;    ///< summed DSM cache hits of dispatches
@@ -67,7 +69,6 @@ struct ServiceStats {
   std::uint64_t db_fragments_scanned = 0;   ///< fragments considered
   std::uint64_t db_fragments_rejected = 0;  ///< pruned by the q-gram bound
   std::uint64_t db_fragments_aligned = 0;   ///< survivors that reached DP
-  std::uint64_t db_fragments_resolved = 0;  ///< cascade-certified, DP skipped
   std::uint64_t db_hits = 0;                ///< hits across all db scans
 
   LatencyHistogram total_latency;  ///< admission -> completion

@@ -182,7 +182,7 @@ TEST(ValidateReportTest, AcceptsSupportedVersionsOnly) {
   // to_json() auto-attaches every section, so a freshly emitted report is
   // valid at the current schema out of the box.
   Json doc = report.to_json();
-  ASSERT_EQ(doc.at("schema_version").as_int(), 12);
+  ASSERT_EQ(doc.at("schema_version").as_int(), 13);
   EXPECT_EQ(validate_run_report(doc), "");
   for (int v = 1; v <= kSchemaVersion + 1; ++v) {
     if (v == kSchemaVersion) continue;
@@ -359,43 +359,38 @@ TEST(ValidateReportTest, RejectsV9ReportMissingStripedCounters) {
   }
 }
 
-// Regression for the v10 cascade requirement: a freshly emitted report
-// auto-carries sections.db.cascade with the seed-and-extend funnel
-// counters, and a document that lost them must be rejected by name.
-TEST(ValidateReportTest, RejectsV10ReportMissingCascadeCounters) {
-  RunReport report("validate_unit_v10", "v10 cascade regression");
+// v13: the cascade funnel is gone and its dp_confirmed sits in the db
+// totals, next to the inter-sequence kernel's counters in the kernel
+// section; a document that lost either must be rejected by name.
+TEST(ValidateReportTest, RejectsV13ReportMissingDpConfirmedOrBatchCounters) {
+  RunReport report("validate_unit_v13", "v13 db/kernel regression");
   Json row = Json::object();
   row.set("x", 1);
   report.add_row("points", std::move(row));
   const Json good = report.to_json();
-  ASSERT_GE(good.at("schema_version").as_int(), 10);
+  ASSERT_GE(good.at("schema_version").as_int(), 13);
   ASSERT_EQ(validate_run_report(good), "");
 
   const Json& sections = good.at("sections");
   const Json& db = sections.at("db");
-  const Json& cascade = db.at("cascade");
-  for (const char* key : {"seeds", "chains", "extensions",
-                          "dp_skipped_by_bound", "dp_confirmed"}) {
-    EXPECT_TRUE(cascade.has(key)) << key;
-  }
-
+  EXPECT_TRUE(db.has("dp_confirmed"));
+  EXPECT_FALSE(db.has("cascade"));
+  EXPECT_FALSE(db.has("fragments_resolved"));
   {
     Json doc = good;
     Json s = without_member(sections, "db");
-    s.set("db", without_member(db, "cascade"));
+    s.set("db", without_member(db, "dp_confirmed"));
     doc.set("sections", std::move(s));
     const std::string why = validate_run_report(doc);
-    EXPECT_NE(why.find("sections.db.cascade"), std::string::npos) << why;
+    EXPECT_NE(why.find("sections.db.dp_confirmed"), std::string::npos) << why;
   }
   {
     Json doc = good;
-    Json s = without_member(sections, "db");
-    Json d = without_member(db, "cascade");
-    d.set("cascade", without_member(cascade, "dp_skipped_by_bound"));
-    s.set("db", std::move(d));
+    Json s = without_member(sections, "kernel");
+    s.set("kernel", without_member(sections.at("kernel"), "batch"));
     doc.set("sections", std::move(s));
     const std::string why = validate_run_report(doc);
-    EXPECT_NE(why.find("dp_skipped_by_bound"), std::string::npos) << why;
+    EXPECT_NE(why.find("sections.kernel.batch"), std::string::npos) << why;
   }
 }
 

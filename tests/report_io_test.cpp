@@ -38,12 +38,14 @@ core::StrategyResult faulted_blocked_run() {
   return core::blocked_align(pair.s, pair.t, cfg);
 }
 
-TEST(ReportIoTest, SchemaVersionIsBumpedToTwelve) {
-  // v12 runs every query as its own dispatch: the service section lost its
-  // "batching" object, and residency.warm_queries/cold_queries count
-  // subject queries only.  The tools accept the current version only
-  // (docs/METRICS.md v12).
-  EXPECT_EQ(obs::kSchemaVersion, 12);
+TEST(ReportIoTest, SchemaVersionIsBumpedToThirteen) {
+  // v13 deletes the seed-and-extend cascade: the db section lost its
+  // "cascade" funnel (dp_confirmed moved up into it) and the service's
+  // fragments_resolved, the kernel section gained the batch kernel's
+  // counters, and residency counts only queries that read the subject's
+  // DSM pages.  The tools accept the current version only
+  // (docs/METRICS.md v13).
+  EXPECT_EQ(obs::kSchemaVersion, 13);
 }
 
 TEST(ReportIoTest, NodeStatsJsonCarriesRetryCounters) {
@@ -130,10 +132,12 @@ TEST(ReportIoTest, RunReportRoundTripsThroughDiskAtVersionTwo) {
   EXPECT_FALSE(comm.has("mode"));
   EXPECT_TRUE(comm.has("round_trips_saved"));
   EXPECT_TRUE(comm.has("empty_diffs_suppressed"));
-  // v11: the index-open count sits in the db totals, not the funnel.
+  // v11: the index-open count sits in the db totals; v13: so does
+  // dp_confirmed, and the cascade funnel is gone.
   const Json& db = doc.at("sections").at("db");
   EXPECT_TRUE(db.has("index_opens"));
-  EXPECT_FALSE(db.at("cascade").has("index_mmap_hits"));
+  EXPECT_TRUE(db.has("dp_confirmed"));
+  EXPECT_FALSE(db.has("cascade"));
   const Json& parsed_run =
       doc.at("series").at("runs").items().at(0).at("result");
   // The v2 additions survive serialization: the fault block and the

@@ -365,6 +365,33 @@ TEST(AlignService, SecondQueryOnSameSubjectRunsWarm) {
   }
 }
 
+TEST(AlignService, MpAndExactQueriesNeverRunWarm) {
+  // blocked_mp and exact copy the subject out of band and read no DSM page
+  // of it, so even after a blocked query warmed the subject they are
+  // neither warm nor counted in the residency totals.
+  const Sequence subject = make_subject(3000, 23, "chr");
+  const Sequence probe = make_probe(subject, 500, 200, 24);
+  ServiceConfig cfg;
+  cfg.nprocs = 2;
+  AlignService service(cfg);
+  service.load_subject(subject);
+  for (const StrategyKind kind : {StrategyKind::kBlocked,
+                                  StrategyKind::kBlockedMp,
+                                  StrategyKind::kExact}) {
+    QuerySpec spec;
+    spec.subject = "chr";
+    spec.query = probe;
+    spec.strategy = kind;
+    const auto adm = service.submit(std::move(spec));
+    const QueryOutcome& out = adm.ticket->wait();
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_FALSE(out.result.warm) << strategy_name(kind);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.warm_queries, 0u);
+  EXPECT_EQ(stats.cold_queries, 1u);  // the blocked query
+}
+
 TEST(AlignService, OneWorkerDispatchesInAdmissionOrder) {
   // Each query is its own dispatch, taken in admission order: a later
   // query on the subject the worker just used never overtakes an earlier

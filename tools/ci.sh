@@ -21,11 +21,13 @@
 #                                 pinned to one CPU, on both backends
 #                                 (GDSM_BACKEND=threads|process), so an
 #                                 interleaving-dependent failure shows up
-#   7. proc_smoke              -- the DSM/strategy/oracle suites re-run with
-#                                 the protocol hosted in real OS processes
-#                                 (GDSM_BACKEND=process: shm segments,
-#                                 SIGSEGV fetch-on-fault, socket transport),
-#                                 plus a fault-plan fuzz sweep on that
+#   7. proc_smoke              -- the DSM/strategy/oracle/db suites re-run
+#                                 with the protocol hosted in real OS
+#                                 processes (GDSM_BACKEND=process: shm
+#                                 segments, SIGSEGV fetch-on-fault, socket
+#                                 transport), plus a fault-plan fuzz sweep,
+#                                 a db fuzz sweep and an oracle-verified
+#                                 two-worker db service burst on that
 #                                 backend (docs/DESIGN.md)
 #   8. ctest -L bench_smoke    -- tiny benches, schema-validated reports
 #   9. fuzz_align, 30 s budget -- differential fuzz over the fault matrix
@@ -39,16 +41,20 @@
 #                                 escalation suite and the job-scratch
 #                                 suite rebuilt and re-run under
 #                                 Address/UBSanitizer (docs/SERVICE.md)
-#  12. db_cascade              -- the certified seed-and-extend stage:
-#                                 hit-for-hit identity vs the
-#                                 brute-force oracle and the persisted
+#  12. db_scan                 -- the filtration scan and the batch kernel:
+#                                 survivor sets vs an independent bound,
+#                                 hit-for-hit identity vs the brute-force
+#                                 oracle on the direct and cluster paths,
+#                                 batch scores lane for lane vs the
+#                                 reference kernel and the persisted
 #                                 q-gram index round-trip (corrupted
 #                                 checksum rejected) in the Release tree AND
-#                                 under Address/UBSanitizer, plus a
-#                                 GDSM_DB_BOUND=scalar rerun of the db
-#                                 suites and a db fuzz sweep covering the
-#                                 scalar bound fallback
-#                                 (docs/SERVICE.md "Cascade")
+#                                 under Address/UBSanitizer, plus
+#                                 GDSM_KERNEL=scalar (per-fragment kernel)
+#                                 and GDSM_DB_BOUND=scalar (scalar bound)
+#                                 reruns of the db suites and a db fuzz
+#                                 sweep covering both fallbacks
+#                                 (docs/SERVICE.md "Database serving")
 #  13. perfbench selftest      -- builds the serving benchmark from src/ and
 #                                 checks its oracle gate passes an honest
 #                                 run and catches a corrupted answer
@@ -150,7 +156,8 @@ done
 echo "==> proc_smoke (GDSM_BACKEND=process)"
 PROC_ASAN="handle_segv=0:allow_user_segv_handler=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
 for t in proc_test dsm_test dsm_stress_test fault_injection_test \
-         differential_oracle_test cluster_submit_test strategy_test svc_test; do
+         differential_oracle_test cluster_submit_test strategy_test svc_test \
+         db_test db_scan_test; do
   echo "---- $t (process backend)"
   GDSM_BACKEND=process ASAN_OPTIONS="$PROC_ASAN" \
     "build/tests/$t" --gtest_brief=1
@@ -159,6 +166,15 @@ done
 # matrix (drops, delays, reorders, partitions) over forked node processes.
 GDSM_BACKEND=process ASAN_OPTIONS="$PROC_ASAN" \
   build/tools/fuzz_align --budget-s=10 --quiet
+# The database oracle over forked nodes: db_query vs brute_force_hits
+# fuzzed directly on the cluster, then an oracle-verified db burst through
+# a two-worker service, so two workers' jobs share the process cluster.
+GDSM_BACKEND=process ASAN_OPTIONS="$PROC_ASAN" \
+  build/tools/fuzz_align --db --budget-s=10 --quiet
+GDSM_BACKEND=process ASAN_OPTIONS="$PROC_ASAN" \
+  build/tools/loadgen --db-gen=3 --subject-len=1200 --query-len=150 \
+  --rate=150 --duration-s=2 --queue-cap=512 --min-score=40 --workers=2 \
+  --quiet
 
 echo "==> ctest -L bench_smoke"
 ctest --test-dir build -L bench_smoke --output-on-failure
@@ -185,7 +201,7 @@ build/tools/fuzz_align --db --budget-s=10 --quiet
 cmake -B build-asan -S . -DGDSM_SANITIZE=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target db_test fuzz_align \
-  striped_precision_test db_cascade_test cluster_submit_test
+  striped_precision_test db_scan_test batch_kernel_test cluster_submit_test
 build-asan/tests/db_test --gtest_brief=1
 build-asan/tools/fuzz_align --db --seed=1 --faults=none --quiet
 echo "==> striped escalation suite (ASan)"
@@ -197,22 +213,30 @@ echo "==> job scratch suite (ASan)"
 build-asan/tests/cluster_submit_test --gtest_brief=1 \
   --gtest_filter='ClusterScratch.*'
 
-echo "==> db_cascade (certified seed-and-extend + persisted index)"
-# Cascade on/off hit-for-hit identity against the brute-force oracle,
-# admissibility adversaries (random / high-identity / tandem-repeat probes,
-# both gap models) and the persisted-index round-trip with its corrupted-
+echo "==> db_scan (filtration scan + batch kernel + persisted index)"
+# Survivor sets against an independent per-fragment bound, direct vs
+# cluster hit-for-hit identity against the brute-force oracle, the batch
+# kernel lane for lane against the reference kernel at its bound edges and
+# on ragged tiles, and the persisted-index round-trip with its corrupted-
 # checksum reject — in the Release tree, then again under ASan/UBSan: the
-# banded restricted DP recycles thread-local scratch rows, exactly where a
-# stale-size or out-of-bounds bug would hide.
-build/tests/db_cascade_test --gtest_brief=1
-build-asan/tests/db_cascade_test --gtest_brief=1
-# The db suites and a db fuzz sweep with the AVX2 batched bound forced off:
-# on AVX2 hosts this is the only coverage of the scalar per-fragment
-# fallback the batch path shadows (bound_batch.h).  Both read the same
-# seed bitmap and must give identical scans.
-GDSM_DB_BOUND=scalar build/tests/db_cascade_test --gtest_brief=1
-GDSM_DB_BOUND=scalar build/tests/db_test --gtest_brief=1
-GDSM_DB_BOUND=scalar build/tools/fuzz_align --db --budget-s=10 --quiet
+# batch kernel recycles thread-local tile and column buffers across tiles
+# of different widths and lengths, exactly where a stale-size or
+# out-of-bounds bug would hide.
+build/tests/db_scan_test --gtest_brief=1
+build/tests/batch_kernel_test --gtest_brief=1
+build-asan/tests/db_scan_test --gtest_brief=1
+build-asan/tests/batch_kernel_test --gtest_brief=1
+# The db suites and a db fuzz sweep on each fallback the vector paths
+# shadow: GDSM_KERNEL=scalar scores every survivor with the per-fragment
+# reference kernel instead of the batch kernel (simd/batch.h), and
+# GDSM_DB_BOUND=scalar runs the per-fragment bound instead of the AVX2
+# batch (bound_batch.h).  Each must give identical hits.
+for fallback in GDSM_KERNEL=scalar GDSM_DB_BOUND=scalar; do
+  echo "---- db suites ($fallback)"
+  env "$fallback" build/tests/db_scan_test --gtest_brief=1
+  env "$fallback" build/tests/db_test --gtest_brief=1
+  env "$fallback" build/tools/fuzz_align --db --budget-s=10 --quiet
+done
 
 # The serving benchmark builds its own copy of src/ (.bench_build/), so a
 # src/ change that breaks the harness build or its oracle gate fails here.
