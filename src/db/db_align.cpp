@@ -22,7 +22,7 @@ namespace {
 /// The batch kernel gives scores only: the rare fragments reaching
 /// min_score are rerun through sw_best_score_linear for their end cell, and
 /// the rerun must agree with the batch score.  Where the batch path does
-/// not apply (scalar backend, a bound beyond 16 bits, an out-of-alphabet
+/// not apply (scalar backend, a bound beyond 8 bits, an out-of-alphabet
 /// query) every fragment takes sw_best_score_linear.  Either way a fragment
 /// scoring >= min_score carries the reference kernel's exact BestLocal.
 template <class Load, class Emit>

@@ -63,7 +63,7 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// "batching" object, and residency.warm_queries/cold_queries count subject
 /// queries only: database scans are neither (docs/METRICS.md v12).
 /// v13: the seed-and-extend cascade is gone — the "db" section lost
-/// "cascade" (its dp_confirmed moved up into "db") and the service's
+/// "cascade" (its dp_confirmed always equalled "db.hits") and the service's
 /// fragments_resolved; the "kernel" section gained the "batch" counters of
 /// the inter-sequence kernel; residency.warm_queries/cold_queries count
 /// only queries that read the subject's DSM pages (wavefront, blocked)

@@ -180,9 +180,6 @@ Json db_stats_json() {
   j.set("filtration_rate", s.filtration_rate());
   j.set("hits", s.hits);
   j.set("index_opens", s.index_opens);
-  // v13: every hit is a forwarded fragment confirmed by full DP, so the
-  // former cascade funnel's last counter equals hits.
-  j.set("dp_confirmed", s.hits);
   Json balance = Json::object();
   Json bases = Json::array();
   for (const std::uint64_t b : s.node_bases) bases.push(b);

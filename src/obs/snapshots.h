@@ -52,7 +52,7 @@ Json kernel_stats_json(bool host_clock);
 Json comm_stats_json();
 
 /// {queries, fragments_scanned, fragments_rejected, fragments_aligned,
-/// filtration_rate, hits, dp_confirmed, index_opens,
+/// filtration_rate, hits, index_opens,
 /// shard_balance: {node_bases: [...],
 /// node_aligned: [...]}} — the database-serving totals since process start
 /// (db::db_meter_snapshot()): how many fragments the q-gram filter rejected

@@ -95,7 +95,7 @@ std::string validate_sections(const Json* sections) {
   why = require_numbers(*db, "sections.db",
                         {"queries", "fragments_scanned", "fragments_rejected",
                          "fragments_aligned", "filtration_rate", "hits",
-                         "dp_confirmed", "index_opens"});
+                         "index_opens"});
   if (!why.empty()) return why;
   const Json* balance = db->find("shard_balance");
   if (balance == nullptr || !balance->is_object() ||

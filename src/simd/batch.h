@@ -14,11 +14,11 @@
 //   - Lanes are unsigned and saturating with the striped kernel's bias
 //     (max(0, -match, -mismatch)), so subs(adds(H, sub + bias), bias) is
 //     max(0, H + sub) and the local-alignment clamp is free.
-//   - The width comes from a *proven* bound: no cell exceeds
-//     match * min(m, n_max), so the widest intermediate is that plus
-//     match + bias.  32 x 8-bit lanes when it fits in 255, 16 x 16-bit lanes
-//     when it fits in 65535, otherwise the caller scores per fragment.  No
-//     saturation can happen, so there are no reruns.
+//   - Lanes are 8 bits wide, and only a *proven* bound lets a tile in: no
+//     cell exceeds match * min(m, n_max), so the widest intermediate is
+//     that plus match + bias, and it must fit in 255.  Otherwise the
+//     caller scores per fragment with the striped kernel.  No saturation
+//     can happen, so there are no reruns.
 //   - Ragged tiles are padded with kBaseN columns (and empty lanes are all
 //     padding).  A padded cell is some predecessor minus a positive penalty,
 //     or 0, so it never raises its lane's maximum; real cells never depend
@@ -38,17 +38,17 @@ namespace gdsm::simd {
 /// Fragments per tile: the 8-bit lane count of a 256-bit vector.
 inline constexpr std::size_t kBatchLanes = 32;
 
-/// Lane width the proven bound allows for a query of length m against
-/// fragments of at most n_max bases: 8, 16, or 0 when neither fits or the
-/// scheme is degenerate (match <= 0, mismatch >= 0, gap >= 0 or
-/// gap_open > 0) and the caller must score fragments one by one.
-int batch_lane_bits(std::size_t m, std::size_t n_max, const ScoreParams& sp);
+/// Whether the proven bound of a query of length m against fragments of at
+/// most n_max bases fits 8-bit lanes.  False, so the caller scores
+/// fragments one by one, also for a degenerate scheme (match <= 0,
+/// mismatch >= 0, gap >= 0 or gap_open > 0).
+bool batch_fits(std::size_t m, std::size_t n_max, const ScoreParams& sp);
 
 /// Best local score of q[0, m) against each of frags[k][0, lens[k]), for
 /// k < count <= kBatchLanes, into out[k].  Returns false, leaving out
 /// untouched, when the batch path does not apply: the active backend is
 /// scalar or lacks AVX2, q holds a byte outside the alphabet, or
-/// batch_lane_bits(m, max lens) is 0.  Throws std::invalid_argument when
+/// batch_fits(m, max lens) is false.  Throws std::invalid_argument when
 /// count > kBatchLanes.  Metered as kernel_stats().batch.
 bool batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
                        const std::size_t* lens, std::size_t count,

@@ -15,8 +15,8 @@
 namespace gdsm::simd::avx2 {
 namespace {
 
-using detail::StripedAvx16;
-using detail::StripedAvx8;
+using E = detail::StripedAvx8;
+static_assert(E::kLanes == kBatchLanes, "one fragment per 8-bit lane");
 
 constexpr std::size_t kVecBytes = sizeof(__m256i);
 
@@ -27,33 +27,12 @@ struct BatchScratch {
   std::vector<std::uint8_t> cols, h, e;
 };
 
-/// Column j's lane characters at the engine's lane width.  The 16-bit
-/// sweep covers one half of the 32-lane tile, so it widens 16 bytes.
-template <class E>
-__m256i load_column(const std::uint8_t* p) {
-  if constexpr (E::kLanes == 32) {
-    return E::loadu(p);
-  } else {
-    return _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-  }
-}
-
-template <class E>
-__m256i lanes_equal(__m256i a, __m256i b) {
-  if constexpr (E::kLanes == 32) {
-    return _mm256_cmpeq_epi8(a, b);
-  } else {
-    return _mm256_cmpeq_epi16(a, b);
-  }
-}
-
 /// The whole tile through the DP, one lane per fragment; returns each
 /// lane's maximum cell.  With mismatch < 0 the bias is -mismatch, so a
 /// biased substitution is match - mismatch on a match and 0 otherwise.
 /// H and E are clamped at 0 by the unsigned subtractions, which is exact
 /// for a local score (H >= 0, so a negative gap state never surfaces).
-template <class E, bool kAffine>
+template <bool kAffine>
 __m256i sweep(const Base* q, std::size_t m, const std::uint8_t* cols,
               std::size_t n, const ScoreParams& sp, std::uint8_t* hbuf,
               std::uint8_t* ebuf) {
@@ -66,12 +45,12 @@ __m256i sweep(const Base* q, std::size_t m, const std::uint8_t* cols,
   if constexpr (kAffine) std::memset(ebuf, 0, m * kVecBytes);
   V vMax = E::zero();
   for (std::size_t j = 0; j < n; ++j) {
-    const V d = load_column<E>(cols + j * kBatchLanes);
+    const V d = E::loadu(cols + j * kBatchLanes);
     V sub[kAlphabetSize];
     for (int c = 0; c < kAlphabetSize; ++c) {
       sub[c] = c == kBaseN ? E::zero()
                            : _mm256_and_si256(
-                                 lanes_equal<E>(d, E::set1(c)), vMatch);
+                                 _mm256_cmpeq_epi8(d, E::set1(c)), vMatch);
     }
     V hdiag = E::zero();  // H(i-1, j-1)
     V hup = E::zero();    // H(i-1, j)
@@ -97,27 +76,11 @@ __m256i sweep(const Base* q, std::size_t m, const std::uint8_t* cols,
   return vMax;
 }
 
-/// Lanes [lane0, lane0 + E::kLanes) of the tile; writes the first `count`
-/// lane maxima to out.
-template <class E>
-void sweep_into(const Base* q, std::size_t m, const std::uint8_t* cols,
-                std::size_t n, const ScoreParams& sp, BatchScratch& scr,
-                std::size_t count, std::int32_t* out) {
-  const __m256i vMax =
-      sp.gap_open != 0
-          ? sweep<E, true>(q, m, cols, n, sp, scr.h.data(), scr.e.data())
-          : sweep<E, false>(q, m, cols, n, sp, scr.h.data(), nullptr);
-  typename E::Word lanes[E::kLanes];
-  E::storeu(lanes, vMax);
-  for (std::size_t l = 0; l < count; ++l) out[l] = lanes[l];
-}
-
 }  // namespace
 
 void batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
                        const std::size_t* lens, std::size_t count,
-                       const ScoreParams& sp, int lane_bits,
-                       std::int32_t* out) {
+                       const ScoreParams& sp, std::int32_t* out) {
   thread_local BatchScratch scr;
   std::size_t n = 0;
   for (std::size_t k = 0; k < count; ++k) n = std::max(n, lens[k]);
@@ -130,15 +93,14 @@ void batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
   }
   scr.h.resize(m * kVecBytes);
   scr.e.resize(sp.gap_open != 0 ? m * kVecBytes : 0);
-  if (lane_bits == 8) {
-    sweep_into<StripedAvx8>(q, m, scr.cols.data(), n, sp, scr, count, out);
-    return;
-  }
-  constexpr std::size_t kHalf = StripedAvx16::kLanes;
-  for (std::size_t lane0 = 0; lane0 < count; lane0 += kHalf) {
-    sweep_into<StripedAvx16>(q, m, scr.cols.data() + lane0, n, sp, scr,
-                             std::min(kHalf, count - lane0), out + lane0);
-  }
+  const __m256i vMax =
+      sp.gap_open != 0
+          ? sweep<true>(q, m, scr.cols.data(), n, sp, scr.h.data(),
+                        scr.e.data())
+          : sweep<false>(q, m, scr.cols.data(), n, sp, scr.h.data(), nullptr);
+  E::Word lanes[kBatchLanes];
+  E::storeu(lanes, vMax);
+  for (std::size_t k = 0; k < count; ++k) out[k] = lanes[k];
 }
 
 }  // namespace gdsm::simd::avx2

@@ -14,12 +14,10 @@ namespace gdsm::simd {
 
 #if GDSM_SIMD_AVX2
 namespace avx2 {
-// The -mavx2 sweep behind batch_best_scores (batch_avx2.cpp); lane_bits is
-// 8 or 16.
+// The -mavx2 sweep behind batch_best_scores (batch_avx2.cpp).
 void batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
                        const std::size_t* lens, std::size_t count,
-                       const ScoreParams& sp, int lane_bits,
-                       std::int32_t* out);
+                       const ScoreParams& sp, std::int32_t* out);
 }  // namespace avx2
 #endif
 
@@ -225,9 +223,9 @@ void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
                           out_e);
 }
 
-int batch_lane_bits(std::size_t m, std::size_t n_max, const ScoreParams& sp) {
+bool batch_fits(std::size_t m, std::size_t n_max, const ScoreParams& sp) {
   if (sp.match <= 0 || sp.mismatch >= 0 || sp.gap >= 0 || sp.gap_open > 0) {
-    return 0;
+    return false;
   }
   // No cell exceeds match * min(m, n); one biased substitution (match +
   // bias, bias = -mismatch) on top of it is the widest intermediate.
@@ -236,9 +234,7 @@ int batch_lane_bits(std::size_t m, std::size_t n_max, const ScoreParams& sp) {
   const std::int64_t top =
       std::int64_t{sp.match} * reach + sp.match - sp.mismatch;
   const std::int64_t gap_oe = -(std::int64_t{sp.gap_open} + sp.gap);
-  if (top <= 255 && gap_oe <= 255) return 8;
-  if (top <= 65535 && gap_oe <= 65535) return 16;
-  return 0;
+  return top <= 255 && gap_oe <= 255;
 }
 
 bool batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
@@ -258,10 +254,9 @@ bool batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
     n_max = std::max(n_max, lens[k]);
     cells += static_cast<std::uint64_t>(m) * lens[k];
   }
-  const int bits = batch_lane_bits(m, n_max, sp);
-  if (bits == 0) return false;
+  if (!batch_fits(m, n_max, sp)) return false;
   Meter meter(g_batch, cells);
-  avx2::batch_best_scores(q, m, frags, lens, count, sp, bits, out);
+  avx2::batch_best_scores(q, m, frags, lens, count, sp, out);
   return true;
 #else
   (void)q, (void)m, (void)frags, (void)lens, (void)count, (void)sp, (void)out;

@@ -1,11 +1,11 @@
 // Property suite for the inter-sequence batch kernel (src/simd/batch.h).
 //
-// The kernel scores up to 32 fragments per call, one per vector lane, at
-// 8 or 16 bits chosen from a proven bound, and pads ragged tiles with N
+// The kernel scores up to 32 fragments per call, one per 8-bit vector
+// lane, when a proven bound fits the lane, and pads ragged tiles with N
 // columns.  These tests hold every lane to sw_best_score_linear under both
 // gap models:
-//   * on both sides of the 8 -> 16-bit and the 16-bit -> per-fragment
-//     bound edges, with lanes that reach the bound exactly,
+//   * on both sides of the 8-bit -> per-fragment bound edge, with lanes
+//     that reach the bound exactly,
 //   * with 1, 31, 32 and 33 fragments (the last split over two tiles) of
 //     ragged lengths, including a sequence's short last fragment,
 //   * with N runs in the query and in fragments,
@@ -13,7 +13,7 @@
 // alone) for an out-of-alphabet query and under the scalar backend.
 // Skipped (never silently passed) when no AVX2 backend is active.
 // tools/ci.sh re-runs this suite under ASan: the scratch buffers are
-// recycled across tiles of different widths and lengths.
+// recycled across tiles of different query and fragment lengths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,7 +33,7 @@ namespace gdsm {
 namespace {
 
 using simd::batch_best_scores;
-using simd::batch_lane_bits;
+using simd::batch_fits;
 using simd::kBatchLanes;
 using simd::ScoreParams;
 
@@ -70,22 +70,21 @@ void expect_lanes_exact(const Sequence& query,
 const ScoreScheme kLinear{};
 const ScoreScheme kAffine{1, -1, -1, -3};
 
-TEST(BatchKernel, LaneWidthFollowsTheProvenBound) {
+TEST(BatchKernel, EightBitLanesFollowTheProvenBound) {
   // match * min(m, n) + match + bias with bias = -mismatch.
-  EXPECT_EQ(batch_lane_bits(253, 256, ScoreParams{1, -1, -2, 0}), 8);
-  EXPECT_EQ(batch_lane_bits(254, 256, ScoreParams{1, -1, -2, 0}), 16);
-  EXPECT_EQ(batch_lane_bits(400, 253, ScoreParams{1, -1, -2, 0}), 8);
-  EXPECT_EQ(batch_lane_bits(326, 400, ScoreParams{200, -1, -2, 0}), 16);
-  EXPECT_EQ(batch_lane_bits(327, 400, ScoreParams{200, -1, -2, 0}), 0);
-  // A gap penalty beyond a lane forces the wider lane, then per-fragment.
-  EXPECT_EQ(batch_lane_bits(10, 10, ScoreParams{1, -1, -2, -253}), 8);
-  EXPECT_EQ(batch_lane_bits(10, 10, ScoreParams{1, -1, -2, -254}), 16);
-  EXPECT_EQ(batch_lane_bits(10, 10, ScoreParams{1, -1, -2, -70000}), 0);
+  EXPECT_TRUE(batch_fits(253, 256, ScoreParams{1, -1, -2, 0}));
+  EXPECT_FALSE(batch_fits(254, 256, ScoreParams{1, -1, -2, 0}));
+  EXPECT_TRUE(batch_fits(400, 253, ScoreParams{1, -1, -2, 0}));
+  EXPECT_TRUE(batch_fits(126, 400, ScoreParams{2, -1, -2, 0}));
+  EXPECT_FALSE(batch_fits(127, 400, ScoreParams{2, -1, -2, 0}));
+  // A gap penalty beyond a lane sends the query per-fragment.
+  EXPECT_TRUE(batch_fits(10, 10, ScoreParams{1, -1, -2, -253}));
+  EXPECT_FALSE(batch_fits(10, 10, ScoreParams{1, -1, -2, -254}));
   // Degenerate schemes break the padding argument: per-fragment.
-  EXPECT_EQ(batch_lane_bits(10, 10, ScoreParams{0, -1, -2, 0}), 0);
-  EXPECT_EQ(batch_lane_bits(10, 10, ScoreParams{1, 0, -2, 0}), 0);
-  EXPECT_EQ(batch_lane_bits(10, 10, ScoreParams{1, -1, 0, 0}), 0);
-  EXPECT_EQ(batch_lane_bits(10, 10, ScoreParams{1, -1, -2, 1}), 0);
+  EXPECT_FALSE(batch_fits(10, 10, ScoreParams{0, -1, -2, 0}));
+  EXPECT_FALSE(batch_fits(10, 10, ScoreParams{1, 0, -2, 0}));
+  EXPECT_FALSE(batch_fits(10, 10, ScoreParams{1, -1, 0, 0}));
+  EXPECT_FALSE(batch_fits(10, 10, ScoreParams{1, -1, -2, 1}));
 }
 
 // Lane 0 is an exact copy of the query, so it reaches match * L, the bound
@@ -96,13 +95,13 @@ TEST(BatchKernel, ScoresMatchReferenceAtBoundEdges) {
   struct Edge {
     ScoreScheme scheme;
     std::size_t len;
-    int bits;
+    bool fits;
   };
   const Edge edges[] = {
-      {{1, -1, -2, 0}, 253, 8},    {{1, -1, -2, 0}, 254, 16},
-      {{1, -1, -1, -3}, 253, 8},   {{1, -1, -1, -3}, 254, 16},
-      {{200, -1, -2, 0}, 326, 16}, {{200, -1, -2, -3}, 326, 16},
-      {{200, -1, -2, 0}, 327, 0},
+      {{1, -1, -2, 0}, 253, true},   {{1, -1, -2, 0}, 254, false},
+      {{1, -1, -1, -3}, 253, true},  {{1, -1, -1, -3}, 254, false},
+      {{2, -1, -2, 0}, 126, true},   {{2, -1, -2, -3}, 126, true},
+      {{2, -1, -2, 0}, 127, false},
   };
   Rng rng(41);
   for (const Edge& e : edges) {
@@ -115,9 +114,9 @@ TEST(BatchKernel, ScoresMatchReferenceAtBoundEdges) {
       frags.push_back(k % 3 == 0 ? random_dna(e.len + k, rng)
                                  : mutate(query, 0.01 * (k % 7), 0.01, rng));
     }
-    EXPECT_EQ(batch_lane_bits(e.len, e.len + kBatchLanes, params(e.scheme)),
-              e.bits);
-    if (e.bits == 0) {
+    EXPECT_EQ(batch_fits(e.len, e.len + kBatchLanes, params(e.scheme)),
+              e.fits);
+    if (!e.fits) {
       const Base* ptrs[kBatchLanes];
       std::size_t lens[kBatchLanes];
       for (std::size_t l = 0; l < kBatchLanes; ++l) {

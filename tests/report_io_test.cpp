@@ -40,7 +40,7 @@ core::StrategyResult faulted_blocked_run() {
 
 TEST(ReportIoTest, SchemaVersionIsBumpedToThirteen) {
   // v13 deletes the seed-and-extend cascade: the db section lost its
-  // "cascade" funnel (dp_confirmed moved up into it) and the service's
+  // "cascade" funnel (its dp_confirmed is db.hits) and the service's
   // fragments_resolved, the kernel section gained the batch kernel's
   // counters, and residency counts only queries that read the subject's
   // DSM pages.  The tools accept the current version only
@@ -132,11 +132,11 @@ TEST(ReportIoTest, RunReportRoundTripsThroughDiskAtVersionTwo) {
   EXPECT_FALSE(comm.has("mode"));
   EXPECT_TRUE(comm.has("round_trips_saved"));
   EXPECT_TRUE(comm.has("empty_diffs_suppressed"));
-  // v11: the index-open count sits in the db totals; v13: so does
-  // dp_confirmed, and the cascade funnel is gone.
+  // v11: the index-open count sits in the db totals; v13: the cascade
+  // funnel is gone, and its dp_confirmed with it (every hit is confirmed).
   const Json& db = doc.at("sections").at("db");
   EXPECT_TRUE(db.has("index_opens"));
-  EXPECT_TRUE(db.has("dp_confirmed"));
+  EXPECT_FALSE(db.has("dp_confirmed"));
   EXPECT_FALSE(db.has("cascade"));
   const Json& parsed_run =
       doc.at("series").at("runs").items().at(0).at("result");
