@@ -152,6 +152,33 @@ void BM_HeuristicScan(benchmark::State& state) {
 }
 BENCHMARK(BM_HeuristicScan)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The same scan pinned to one backend: scalar runs the row-segment
+// reference, avx2 the block kernel (docs/KERNELS.md "Heuristic block
+// kernel").  Args are m, n and the gap model (0 linear, 1 affine);
+// seconds_per_cell is the kernel rate the docs quote in ns per cell.
+void BM_HeuristicScanBackend(benchmark::State& state, simd::Backend backend) {
+  ForcedBackend forced(backend);
+  if (!forced.ok()) {
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
+  Rng rng(2025);
+  const Sequence s = random_dna(static_cast<std::size_t>(state.range(0)), rng, "s");
+  const Sequence t = random_dna(static_cast<std::size_t>(state.range(1)), rng, "t");
+  const ScoreScheme sc = state.range(2) != 0 ? affine_scheme() : ScoreScheme{};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(heuristic_scan(s, t, sc));
+  }
+  const double cells = static_cast<double>(state.range(0)) *
+                       static_cast<double>(state.range(1));
+  state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(1));
+  state.counters["cells_per_second"] =
+      benchmark::Counter(cells, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["seconds_per_cell"] = benchmark::Counter(
+      cells, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+
 void BM_NeedlemanWunsch(benchmark::State& state) {
   const auto [s, t] = inputs(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -207,6 +234,20 @@ int main(int argc, char** argv) {
         ->Arg(256)
         ->Arg(1024)
         ->Arg(4096);
+  }
+  // The heuristic scan has two kernels: the scalar reference and the AVX2
+  // block kernel (striped-avx2 runs the same block kernel as avx2).
+  for (const gdsm::simd::Backend b : gdsm::simd::available_backends()) {
+    if (b == gdsm::simd::Backend::kStripedAvx2) continue;
+    const std::string name = std::string("BM_HeuristicScan_") +
+                             gdsm::simd::backend_name(b);
+    benchmark::RegisterBenchmark(name.c_str(), BM_HeuristicScanBackend, b)
+        ->ArgNames({"m", "n", "affine"})
+        ->Args({250, 1000, 0})
+        ->Args({250, 1000, 1})
+        ->Args({1000, 10000, 0})
+        ->Args({1000, 10000, 1})
+        ->Unit(benchmark::kMillisecond);
   }
   // run_all.sh's BENCH_KERNELS axis re-runs this bench under GDSM_KERNEL
   // forcings; a forced run gets a suffixed experiment id so its rows sit

@@ -29,44 +29,33 @@ void compute_band(const HeuristicKernel& kernel, const Sequence& s,
   const std::size_t H = grid.band_height(b);
   const std::size_t K = grid.blocks();
   const bool last_band = (b + 1 == grid.bands());
-  const CellInfo zero{};
+  const std::span<const Base> s_rows = s.bases().subspan(row_lo, H);
 
-  // Right edge of the previous block: [0] is the diagonal input for the
-  // first row, [r] the left input for row r.  Column 0 is all zeros.
-  std::vector<CellInfo> left_edge(H + 1, zero);
-  std::vector<CellInfo> top_row;
-  std::vector<CellInfo> prev_row;
-  std::vector<CellInfo> cur_row;
+  // Right edge of the previous block and the cell above its first row;
+  // column 0 is all zeros.
+  std::vector<CellInfo> edge(H);
+  CellInfo corner{};
+  std::vector<CellInfo> row;  // the block's top row in, bottom row out
 
   for (std::size_t k = 0; k < K; ++k) {
     const std::size_t col_lo = grid.col_offsets[k];  // 0-based
     const std::size_t W = grid.block_width(k);
 
-    top_row.assign(W, zero);
-    if (b > 0) recv_top(k, std::span<CellInfo>(top_row));
+    row.assign(W, CellInfo{});
+    if (b > 0) recv_top(k, std::span<CellInfo>(row));
+    const CellInfo next_corner = row.back();
 
-    prev_row = top_row;
-    const std::span<const Base> t_cols = t.bases().subspan(col_lo, W);
-    cur_row.assign(W, zero);
-    std::vector<CellInfo> new_edge(H + 1, zero);
-    new_edge[0] = top_row.back();
-
-    for (std::size_t r = 1; r <= H; ++r) {
-      const std::size_t row = row_lo + r;  // 1-based matrix row
-      kernel.process_row_segment(s[row - 1], static_cast<std::uint32_t>(row),
-                                 t_cols, static_cast<std::uint32_t>(col_lo + 1),
-                                 prev_row, left_edge[r - 1], left_edge[r],
-                                 cur_row, sink);
-      new_edge[r] = cur_row.back();
-      std::swap(prev_row, cur_row);
-    }
-    left_edge = std::move(new_edge);
+    kernel.process_block(s_rows, static_cast<std::uint32_t>(row_lo + 1),
+                         t.bases().subspan(col_lo, W),
+                         static_cast<std::uint32_t>(col_lo + 1), corner, row,
+                         edge, sink);
+    corner = next_corner;
 
     if (!last_band) {
-      publish_bottom(k, std::span<const CellInfo>(prev_row));
+      publish_bottom(k, std::span<const CellInfo>(row));
     } else {
       // Bottom row of the whole matrix: flush still-open candidates.
-      for (const CellInfo& cell : prev_row) sink.flush_open(cell);
+      for (const CellInfo& cell : row) sink.flush_open(cell);
     }
   }
 }

@@ -109,8 +109,7 @@ StrategyResult blocked_align(const Sequence& s, const Sequence& t,
           });
     }
 
-    std::vector<Candidate> local = std::move(sink.queue());
-    if (!gather.publish(node, local)) overflow.store(true);
+    if (!gather.publish(node, std::move(sink.queue()))) overflow.store(true);
     node.barrier();
     if (p == 0) merged = gather.collect(node);
   }, std::move(scratch));

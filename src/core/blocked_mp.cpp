@@ -65,8 +65,10 @@ MpStrategyResult blocked_align_mp(const Sequence& s, const Sequence& t,
           });
     }
 
-    // Gather the per-rank queues at rank 0 and finalize.
-    const std::vector<Candidate>& local = sink.queue();
+    // Gather the per-rank queues, each finalized first so duplicates never
+    // cross the transport, at rank 0 and finalize the merge.
+    std::vector<Candidate>& local = sink.queue();
+    finalize_candidates(local);
     const auto gathered = comm.gather(
         0, local.data(), local.size() * sizeof(Candidate));
     if (p == 0) {

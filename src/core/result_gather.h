@@ -32,8 +32,12 @@ class CandidateGather {
   }
 
   /// Called by every node with its local queue, before the final barrier.
-  /// Returns false when the queue was truncated to the buffer capacity.
-  bool publish(dsm::Node& node, const std::vector<Candidate>& local) const {
+  /// The queue is finalized first (sorted, repeats dropped), so an overflow
+  /// keeps the same candidates whatever order the kernel emitted them in,
+  /// and duplicates never cross the DSM.  Returns false when the queue was
+  /// truncated to the buffer capacity.
+  bool publish(dsm::Node& node, std::vector<Candidate> local) const {
+    finalize_candidates(local);
     const std::size_t n = std::min(local.size(), capacity_);
     if (n > 0) {
       buffers_[static_cast<std::size_t>(node.id())].put_range(node, 0, n,

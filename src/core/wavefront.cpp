@@ -151,8 +151,7 @@ StrategyResult wavefront_align(const Sequence& s, const Sequence& t,
     // Candidates still open on the bottom row of the matrix.
     for (const CellInfo& cell : reading) sink.flush_open(cell);
 
-    std::vector<Candidate> local = std::move(sink.queue());
-    if (!gather.publish(node, local)) overflow.store(true);
+    if (!gather.publish(node, std::move(sink.queue()))) overflow.store(true);
     node.barrier();  // end-of-computation barrier
     if (p == 0) merged = gather.collect(node);
   }, std::move(scratch));

@@ -27,6 +27,16 @@ struct BatchScratch {
   std::vector<std::uint8_t> cols, h, e;
 };
 
+/// A buffer grown past this is released after the call: a long query (or
+/// long fragments) would otherwise pin m * 32 bytes (m * 64 affine) in every
+/// node thread for good.  Probe-size calls (150 bp: 4.8 kB) stay below it
+/// and keep reusing their buffers.
+constexpr std::size_t kKeepBytes = std::size_t{64} << 10;
+
+void release_if_large(std::vector<std::uint8_t>& buf) {
+  if (buf.capacity() > kKeepBytes) std::vector<std::uint8_t>().swap(buf);
+}
+
 /// The whole tile through the DP, one lane per fragment; returns each
 /// lane's maximum cell.  With mismatch < 0 the bias is -mismatch, so a
 /// biased substitution is match - mismatch on a match and 0 otherwise.
@@ -101,6 +111,9 @@ void batch_best_scores(const Base* q, std::size_t m, const Base* const* frags,
   E::Word lanes[kBatchLanes];
   E::storeu(lanes, vMax);
   for (std::size_t k = 0; k < count; ++k) out[k] = lanes[k];
+  release_if_large(scr.cols);
+  release_if_large(scr.h);
+  release_if_large(scr.e);
 }
 
 }  // namespace gdsm::simd::avx2

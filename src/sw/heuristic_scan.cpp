@@ -3,7 +3,20 @@
 #include <algorithm>
 #include <cassert>
 
+#include "simd/dispatch.h"
+
 namespace gdsm {
+
+#if GDSM_SIMD_AVX2
+namespace avx2 {
+// The -mavx2 sweep behind process_block (heuristic_block_avx2.cpp).
+void heuristic_block(const ScoreScheme& scheme, const HeuristicParams& params,
+                     std::span<const Base> s_rows, std::uint32_t row_begin,
+                     std::span<const Base> t_cols, std::uint32_t col_begin,
+                     const CellInfo& corner, std::span<CellInfo> row,
+                     std::span<CellInfo> edge, CandidateSink& sink);
+}  // namespace avx2
+#endif
 
 CellInfo HeuristicKernel::update_cell(Base s_char, Base t_char, std::uint32_t row,
                                       std::uint32_t col, const CellInfo& diag,
@@ -41,7 +54,7 @@ CellInfo HeuristicKernel::update_cell(Base s_char, Base t_char, std::uint32_t ro
   std::int64_t origin_weight = -1;
   auto consider = [&](int which, int value, const CellInfo& cell) {
     if (value != best) return;
-    const std::int64_t w = cell.tie_weight();
+    const std::int64_t w = cell.weight;
     if (w > origin_weight) {
       origin = which;
       origin_weight = w;
@@ -61,15 +74,8 @@ CellInfo HeuristicKernel::update_cell(Base s_char, Base t_char, std::uint32_t ro
     cur.e = kCellNegInf;
     cur.f = kCellNegInf;
   }
-  if (origin == kDiag) {
-    if (sub > 0) {
-      ++cur.matches;
-    } else {
-      ++cur.mismatches;
-    }
-  } else {
-    ++cur.gaps;
-  }
+  // A match or mismatch column weighs 2, a gap column 1.
+  cur.weight += origin == kDiag ? 2 : 1;
 
   // Running extrema of the inherited path.
   if (cur.score > cur.max_score) {
@@ -95,7 +101,7 @@ CellInfo HeuristicKernel::update_cell(Base s_char, Base t_char, std::uint32_t ro
     sink.close(cur);
     cur.flag = 0;
     // Restart the extremum window so the same path can later reopen; the
-    // gap/match/mismatch counters are intentionally NOT reset (Section 4.1).
+    // weight (the paper's counters) is intentionally NOT reset (Section 4.1).
     cur.max_score = cur.min_score = cur.score;
     cur.max_i = row;
     cur.max_j = col;
@@ -132,31 +138,88 @@ void HeuristicKernel::process_row_segment(Base s_char, std::uint32_t row,
   }
 }
 
-std::vector<Candidate> heuristic_scan(const Sequence& s, const Sequence& t,
-                                      const ScoreScheme& scheme,
-                                      const HeuristicParams& params) {
-  const HeuristicKernel kernel(scheme, params);
-  CandidateSink sink(params);
-  const std::size_t m = s.size();
-  const std::size_t n = t.size();
+void HeuristicKernel::process_block(std::span<const Base> s_rows,
+                                    std::uint32_t row_begin,
+                                    std::span<const Base> t_cols,
+                                    std::uint32_t col_begin,
+                                    const CellInfo& corner,
+                                    std::span<CellInfo> row,
+                                    std::span<CellInfo> edge,
+                                    CandidateSink& sink) const {
+#if GDSM_SIMD_AVX2
+  if (simd::active_backend() != simd::Backend::kScalar) {
+    avx2::heuristic_block(scheme_, params_, s_rows, row_begin, t_cols,
+                          col_begin, corner, row, edge, sink);
+    return;
+  }
+#endif
+  process_block_scalar(s_rows, row_begin, t_cols, col_begin, corner, row,
+                       edge, sink);
+}
 
+void HeuristicKernel::process_block_scalar(std::span<const Base> s_rows,
+                                           std::uint32_t row_begin,
+                                           std::span<const Base> t_cols,
+                                           std::uint32_t col_begin,
+                                           const CellInfo& corner,
+                                           std::span<CellInfo> row,
+                                           std::span<CellInfo> edge,
+                                           CandidateSink& sink) const {
+  assert(row.size() == t_cols.size());
+  assert(edge.size() == s_rows.size());
+  if (row.empty()) return;
   // Two linear arrays, exactly as in Section 4.1.
-  std::vector<CellInfo> reading(n);
-  std::vector<CellInfo> writing(n);
-  const CellInfo zero{};
-
-  for (std::size_t i = 1; i <= m; ++i) {
-    kernel.process_row_segment(s[i - 1], static_cast<std::uint32_t>(i),
-                               t.bases(), /*col_begin=*/1, reading, zero, zero,
-                               writing, sink);
+  std::vector<CellInfo> reading(row.begin(), row.end());
+  std::vector<CellInfo> writing(row.size());
+  CellInfo diag = corner;
+  for (std::size_t r = 0; r < s_rows.size(); ++r) {
+    const CellInfo left = edge[r];
+    process_row_segment(s_rows[r], row_begin + static_cast<std::uint32_t>(r),
+                        t_cols, col_begin, reading, diag, left, writing, sink);
+    diag = left;
+    edge[r] = writing.back();
     std::swap(reading, writing);
   }
+  std::copy(reading.begin(), reading.end(), row.begin());
+}
+
+namespace {
+
+std::vector<Candidate> scan(const Sequence& s, const Sequence& t,
+                            const ScoreScheme& scheme,
+                            const HeuristicParams& params, bool reference) {
+  const HeuristicKernel kernel(scheme, params);
+  CandidateSink sink(params);
+  std::vector<CellInfo> row(t.size());
+  std::vector<CellInfo> edge(s.size());
+  if (reference) {
+    kernel.process_block_scalar(s.bases(), 1, t.bases(), 1, CellInfo{}, row,
+                                edge, sink);
+  } else {
+    kernel.process_block(s.bases(), 1, t.bases(), 1, CellInfo{}, row, edge,
+                         sink);
+  }
   // Candidates still open at the bottom of the matrix.
-  for (const CellInfo& cell : reading) sink.flush_open(cell);
+  for (const CellInfo& cell : row) sink.flush_open(cell);
 
   std::vector<Candidate> queue = std::move(sink.queue());
   finalize_candidates(queue);
   return queue;
+}
+
+}  // namespace
+
+std::vector<Candidate> heuristic_scan(const Sequence& s, const Sequence& t,
+                                      const ScoreScheme& scheme,
+                                      const HeuristicParams& params) {
+  return scan(s, t, scheme, params, /*reference=*/false);
+}
+
+std::vector<Candidate> heuristic_scan_reference(const Sequence& s,
+                                                const Sequence& t,
+                                                const ScoreScheme& scheme,
+                                                const HeuristicParams& params) {
+  return scan(s, t, scheme, params, /*reference=*/true);
 }
 
 }  // namespace gdsm

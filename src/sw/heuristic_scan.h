@@ -2,19 +2,23 @@
 // (Martins et al.'s candidate-alignment tracking).
 //
 // Instead of retaining the O(n^2) similarity array, every DP cell carries a
-// small record (current/max/min score, candidate coordinates, gap and
-// match/mismatch counters, an "open candidate" flag).  Candidate alignments
-// are *opened* when the score rises `open_threshold` above the running
-// minimum and *closed* (pushed to the queue) when it falls `close_drop`
-// below the running maximum.  When several predecessors tie for the cell
-// score, the origin whose counters maximize 2*matches + 2*mismatches + gaps
-// wins; remaining ties prefer the horizontal, then vertical, then diagonal
-// arrow (keeping gap runs together, per the paper).
+// small record (current/max/min score, candidate coordinates, a tie-break
+// weight, an "open candidate" flag).  Candidate alignments are *opened* when
+// the score rises `open_threshold` above the running minimum and *closed*
+// (pushed to the queue) when it falls `close_drop` below the running
+// maximum.  When several predecessors tie for the cell score, the origin
+// with the largest weight 2*matches + 2*mismatches + gaps wins; remaining
+// ties prefer the horizontal, then vertical, then diagonal arrow (keeping
+// gap runs together, per the paper).
 //
-// The row-segment kernel below is shared verbatim by the serial scan and by
-// the two parallel heuristic strategies: a parallel worker owns a column
-// range and feeds the kernel the border cells received from its left
-// neighbour, which is exactly the information the paper passes between
+// Two kernels compute the same cells.  The scalar row-segment kernel
+// (update_cell / process_row_segment) is the reference; the block kernel
+// (process_block) computes a whole H x W block from its top row and left
+// edge, and on AVX2 hosts runs 8 rows per vector along anti-diagonals
+// (docs/KERNELS.md "Heuristic block kernel").  Both are shared by the serial
+// scan and the parallel heuristic strategies: a parallel worker owns a
+// block or column range and feeds the kernel the border cells received from
+// its neighbours, which is exactly the information the paper passes between
 // processors.
 #pragma once
 
@@ -43,13 +47,17 @@ inline constexpr std::int32_t kCellNegInf = INT32_MIN / 4;
 
 /// Per-cell record of the heuristic scan.  This is the value transmitted
 /// between processors at partition borders, so it is kept trivially
-/// copyable and fixed-size.
+/// copyable and fixed-size (44 bytes).
 ///
 /// The affine gap model (scheme.gap_open != 0) adds the two Gotoh gap-state
 /// values `e` (gap run consuming t-characters, fed from the left) and `f`
 /// (gap run consuming s-characters, fed from above).  Under the linear model
-/// both stay at kCellNegInf everywhere, so linear scans are bit-identical to
-/// the historical record.
+/// both stay at kCellNegInf everywhere.
+///
+/// The paper's match, mismatch and gap counters are only ever read as the
+/// tie-break weight 2*matches + 2*mismatches + gaps, so the record carries
+/// that one value: a diagonal step adds 2, a gap step adds 1.  It is at most
+/// 2 * (m + n) and is compared as a signed 32-bit value by the vector kernel.
 struct CellInfo {
   std::int32_t score = 0;      ///< sim(s[1..i], t[1..j])
   std::int32_t max_score = 0;  ///< running maximum along the inherited path
@@ -60,21 +68,15 @@ struct CellInfo {
   std::uint32_t begin_j = 0;   ///< candidate start column (1-based)
   std::uint32_t max_i = 0;     ///< cell where max_score was reached
   std::uint32_t max_j = 0;
-  std::uint32_t gaps = 0;      ///< gap counter (never reset; see paper)
-  std::uint32_t matches = 0;   ///< match counter
-  std::uint32_t mismatches = 0;///< mismatch counter
+  std::uint32_t weight = 0;    ///< tie-break weight (never reset; see paper)
   std::uint8_t flag = 0;       ///< 1 while a candidate alignment is open
-
-  /// Tie-break weight: gaps are penalized relative to aligned columns.
-  std::int64_t tie_weight() const noexcept {
-    return 2 * std::int64_t(matches) + 2 * std::int64_t(mismatches) + gaps;
-  }
 
   friend bool operator==(const CellInfo&, const CellInfo&) = default;
 };
 
 static_assert(std::is_trivially_copyable_v<CellInfo>,
               "CellInfo crosses DSM borders as raw bytes");
+static_assert(sizeof(CellInfo) == 44, "ten 32-bit fields and the flag");
 
 /// Streaming sink for closed candidates.
 class CandidateSink {
@@ -102,7 +104,7 @@ class CandidateSink {
   std::vector<Candidate> queue_;
 };
 
-/// The row-segment kernel.  Stateless apart from its parameters, so one
+/// The heuristic kernels.  Stateless apart from their parameters, so one
 /// instance can be shared by all workers.
 class HeuristicKernel {
  public:
@@ -111,6 +113,35 @@ class HeuristicKernel {
 
   const HeuristicParams& params() const noexcept { return params_; }
   const ScoreScheme& scheme() const noexcept { return scheme_; }
+
+  /// Computes the block of rows row_begin .. row_begin+H-1 and columns
+  /// col_begin .. col_begin+W-1 (1-based) of the similarity array, where
+  /// H = s_rows.size() and W = t_cols.size().
+  ///
+  ///  - `row` holds the W cells of row row_begin-1 over the block's columns
+  ///    and receives the block's bottom row;
+  ///  - `corner` is cell (row_begin-1, col_begin-1);
+  ///  - `edge` holds the H cells of column col_begin-1 over the block's rows
+  ///    and receives the block's right edge (column col_begin+W-1);
+  ///  - closed candidates stream into `sink`, in an order that depends on
+  ///    the backend (finalize_candidates makes the queue order-free).
+  ///
+  /// Runs the AVX2 block sweep when the dispatch (simd/dispatch.h) has an
+  /// AVX2 backend active, process_block_scalar otherwise.  Input flags
+  /// must be 0 or 1.
+  void process_block(std::span<const Base> s_rows, std::uint32_t row_begin,
+                     std::span<const Base> t_cols, std::uint32_t col_begin,
+                     const CellInfo& corner, std::span<CellInfo> row,
+                     std::span<CellInfo> edge, CandidateSink& sink) const;
+
+  /// process_block on the scalar row-segment kernel, whatever the dispatch
+  /// says: the reference the vector sweep is tested against.
+  void process_block_scalar(std::span<const Base> s_rows,
+                            std::uint32_t row_begin,
+                            std::span<const Base> t_cols,
+                            std::uint32_t col_begin, const CellInfo& corner,
+                            std::span<CellInfo> row, std::span<CellInfo> edge,
+                            CandidateSink& sink) const;
 
   /// Computes cells (row, col_begin .. col_begin+len-1), 1-based matrix
   /// coordinates, of the similarity array.
@@ -138,12 +169,19 @@ class HeuristicKernel {
   HeuristicParams params_;
 };
 
-/// Serial phase-1 driver: scans the whole matrix with two rows of CellInfo
-/// and returns the finalized candidate queue (sorted by subsequence size,
-/// repeats removed).  This is the reference the parallel strategies must
-/// reproduce exactly.
+/// Serial phase 1: scans the whole matrix as one process_block call
+/// (O(m + n) cell records) and returns the finalized candidate queue (sorted
+/// by subsequence size, repeats removed).  This is what the parallel
+/// strategies must reproduce exactly.
 std::vector<Candidate> heuristic_scan(const Sequence& s, const Sequence& t,
                                       const ScoreScheme& scheme = {},
                                       const HeuristicParams& params = {});
+
+/// heuristic_scan on the scalar kernel whatever the dispatch says.  The
+/// oracles compare against this, so a fault shared by the vector serial
+/// scan and the vector parallel strategies still shows as a divergence.
+std::vector<Candidate> heuristic_scan_reference(
+    const Sequence& s, const Sequence& t, const ScoreScheme& scheme = {},
+    const HeuristicParams& params = {});
 
 }  // namespace gdsm

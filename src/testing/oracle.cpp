@@ -131,8 +131,10 @@ OracleVerdict run_differential(const OracleCase& c, unsigned mask) {
     return v;  // the references disagree; judging strategies is meaningless
   }
 
+  // The scalar kernel whatever GDSM_KERNEL says, so a fault shared by the
+  // vector serial scan and the vector strategies still diverges here.
   const std::vector<Candidate> reference =
-      heuristic_scan(pair.s, pair.t, c.scheme, c.params);
+      heuristic_scan_reference(pair.s, pair.t, c.scheme, c.params);
   v.serial_heuristic_best = best_candidate_score(reference);
   v.serial_candidates = reference.size();
 

@@ -2,7 +2,8 @@
 //
 // Every parallel strategy in this repository claims to reproduce a serial
 // reference bit-for-bit: the heuristic strategies (wavefront, blocked,
-// blocked_mp) must emit exactly heuristic_scan's candidate queue, and the
+// blocked_mp) must emit exactly the scalar heuristic_scan_reference's
+// candidate queue (whichever SIMD kernel the strategies ran), and the
 // parallel exact scorer must find sw_best_score_linear's best cell.  The
 // oracle runs all of them on a seeded random genome pair — optionally under
 // an injected fault plan (net/fault.h) — and reports every divergence.
@@ -69,7 +70,7 @@ struct StrategyOutcome {
 struct OracleVerdict {
   bool ok = true;  ///< every strategy that ran agrees with its reference
   int serial_best = 0;               ///< sw_best_score_linear (== sw_fill)
-  int serial_heuristic_best = 0;     ///< best candidate of heuristic_scan
+  int serial_heuristic_best = 0;     ///< best candidate of the reference scan
   std::size_t serial_candidates = 0; ///< size of the serial candidate queue
   std::vector<StrategyOutcome> outcomes;
 

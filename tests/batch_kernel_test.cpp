@@ -192,6 +192,30 @@ TEST(BatchKernel, NBasesInQueryAndFragments) {
   }
 }
 
+// Fragments of at most 200 bp admit any query length under batch_fits, so
+// one long query grows the per-thread state to m * 32 bytes (m * 64
+// affine); the kernel releases it after the call.  The scores must hold,
+// and so must the probe-size call that follows on the regrown buffers.
+TEST(BatchKernel, LongQueryAgainstShortFragments) {
+  if (!batch_active()) GTEST_SKIP() << "no AVX2 backend active";
+  Rng rng(45);
+  const Sequence src = random_dna(20000, rng, "src");
+  const Sequence query = mutate(src, 0.05, 0.01, rng);
+  std::vector<Sequence> frags;
+  for (std::size_t k = 0; k < 8; ++k) {
+    const std::size_t at = 1000 + k * 2300;
+    frags.push_back(src.slice(at, at + 120 + k * 10));  // 120..190 bp
+  }
+  frags.push_back(random_dna(200, rng, "rnd"));
+  ASSERT_TRUE(batch_fits(query.size(), 200, params(kLinear)));
+  ASSERT_TRUE(batch_fits(query.size(), 200, params(kAffine)));
+  const Sequence probe = random_dna(150, rng, "probe");
+  for (const ScoreScheme& scheme : {kLinear, kAffine}) {
+    expect_lanes_exact(query, frags, scheme);
+    expect_lanes_exact(probe, frags, scheme);
+  }
+}
+
 TEST(BatchKernel, DeclinesNonAlphabetQueriesAndTheScalarBackend) {
   Rng rng(44);
   const Sequence frag = random_dna(200, rng, "f");

@@ -32,7 +32,7 @@ TEST(HeuristicKernel, MatchFromZeroScoresOne) {
                                            zero, sink);
   EXPECT_EQ(cell.score, 1);
   EXPECT_EQ(cell.max_score, 1);
-  EXPECT_EQ(cell.matches, 1u);
+  EXPECT_EQ(cell.weight, 2u);  // one match
   EXPECT_EQ(cell.max_i, 3u);
   EXPECT_EQ(cell.max_j, 4u);
   EXPECT_EQ(cell.flag, 0);  // not yet open (threshold 6)
@@ -78,9 +78,8 @@ TEST(HeuristicKernel, ClosesAfterDrop) {
   EXPECT_EQ(c.s_end, 12u);
   EXPECT_EQ(c.t_end, 12u);
   EXPECT_EQ(diag.flag, 0);
-  // Counters survive the close (Section 4.1).
-  EXPECT_EQ(diag.matches, 12u);
-  EXPECT_EQ(diag.mismatches, 4u);
+  // The weight survives the close (Section 4.1): 12 matches, 4 mismatches.
+  EXPECT_EQ(diag.weight, 32u);
 }
 
 TEST(HeuristicKernel, TieBreakPrefersHigherCounterWeight) {
@@ -89,17 +88,17 @@ TEST(HeuristicKernel, TieBreakPrefersHigherCounterWeight) {
   CandidateSink sink(params);
   CellInfo up{};
   up.score = 5;
-  up.matches = 7;  // weight 14
+  up.weight = 14;  // 7 matches
   CellInfo left{};
   left.score = 5;
-  left.matches = 2;  // weight 4
+  left.weight = 4;  // 2 matches
   const CellInfo zero{};
   // Both gap moves give 3; diag gives mismatch path -1 -> floored out.
   const CellInfo cell =
       kernel.update_cell(kBaseA, kBaseC, 2, 2, zero, up, left, sink);
   EXPECT_EQ(cell.score, 3);
-  EXPECT_EQ(cell.matches, 7u);  // inherited from `up`, the heavier origin
-  EXPECT_EQ(cell.gaps, 1u);
+  // Inherited from `up`, the heavier origin, plus one gap.
+  EXPECT_EQ(cell.weight, 15u);
 }
 
 TEST(HeuristicKernel, TieBreakFallsBackToHorizontal) {
@@ -108,7 +107,7 @@ TEST(HeuristicKernel, TieBreakFallsBackToHorizontal) {
   CandidateSink sink(params);
   CellInfo up{};
   up.score = 5;
-  up.matches = 3;
+  up.weight = 6;  // 3 matches
   up.begin_i = 77;  // marker
   CellInfo left = up;
   left.begin_i = 99;  // same weight, different marker

@@ -5,6 +5,7 @@
 
 #include "core/blocked.h"
 #include "core/wavefront.h"
+#include "simd/dispatch.h"
 #include "sw/heuristic_scan.h"
 #include "util/genome.h"
 #include "util/rng.h"
@@ -198,6 +199,34 @@ TEST(WavefrontOverflow, TruncationIsReported) {
   cfg.max_candidates_per_node = 1;  // force overflow
   const StrategyResult res = wavefront_align(pair.s, pair.t, cfg);
   EXPECT_TRUE(res.overflow);
+}
+
+// Each node finalizes its queue before publishing it, so the capacity cut
+// keeps the same candidates whatever order the kernel emitted them in: the
+// scalar row loop and the AVX2 anti-diagonal sweep must agree even when
+// the per-node buffers overflow.
+TEST(BlockedOverflow, TruncationIsKernelIndependent) {
+  const HomologousPair pair = make_pair(1200, 87, /*regions=*/5);
+  BlockedConfig cfg;
+  cfg.nprocs = 3;
+  cfg.params.open_threshold = 2;  // candidates open and close on most
+  cfg.params.close_drop = 2;      // rows, in a different order under
+  cfg.params.min_report_score = 4;  // each kernel
+  cfg.max_candidates_per_node = 20;  // force overflow
+  const simd::Backend prev = simd::active_backend();
+  simd::force_backend(simd::Backend::kScalar);
+  const StrategyResult scalar = blocked_align(pair.s, pair.t, cfg);
+  const bool avx2 =
+      simd::force_backend(simd::Backend::kAvx2) == simd::Backend::kAvx2;
+  const StrategyResult vector = blocked_align(pair.s, pair.t, cfg);
+  simd::force_backend(prev);
+
+  EXPECT_TRUE(scalar.overflow);
+  EXPECT_FALSE(scalar.candidates.empty());
+  EXPECT_LE(scalar.candidates.size(), 3u * cfg.max_candidates_per_node);
+  if (!avx2) GTEST_SKIP() << "no AVX2 backend on this build/host";
+  EXPECT_TRUE(vector.overflow);
+  EXPECT_EQ(vector.candidates, scalar.candidates);
 }
 
 }  // namespace

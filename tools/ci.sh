@@ -30,7 +30,10 @@
 #                                 two-worker db service burst on that
 #                                 backend (docs/DESIGN.md)
 #   8. ctest -L bench_smoke    -- tiny benches, schema-validated reports
-#   9. fuzz_align, 30 s budget -- differential fuzz over the fault matrix
+#   9. fuzz_align, 30 s budget -- differential fuzz over the fault matrix,
+#                                 plus a 10 s sweep with the strategies on
+#                                 the scalar heuristic kernel
+#                                 (GDSM_KERNEL=scalar)
 #  10. service_smoke           -- 5 s oracle-verified loadgen burst against
 #                                 the alignment service, mixed gap models
 #                                 (docs/SERVICE.md)
@@ -40,7 +43,10 @@
 #                                 fuzz replay, the striped overflow-
 #                                 escalation suite and the job-scratch
 #                                 suite rebuilt and re-run under
-#                                 Address/UBSanitizer (docs/SERVICE.md)
+#                                 Address/UBSanitizer (docs/SERVICE.md),
+#                                 and the heuristic kernel suites
+#                                 (heuristic_test, heuristic_block_test,
+#                                 strategy_test) under the same sanitizers
 #  12. db_scan                 -- the filtration scan and the batch kernel:
 #                                 survivor sets vs an independent bound,
 #                                 hit-for-hit identity vs the brute-force
@@ -181,6 +187,11 @@ ctest --test-dir build -L bench_smoke --output-on-failure
 
 echo "==> fuzz_align (30 s budget)"
 build/tools/fuzz_align --budget-s=30 --quiet
+# The strategies above ran the AVX2 heuristic block kernel (the auto pick);
+# a second sweep pins them to the scalar row-segment kernel, so both kernel
+# paths are fuzzed against the scalar reference scan.
+echo "==> fuzz_align (GDSM_KERNEL=scalar, 10 s budget)"
+GDSM_KERNEL=scalar build/tools/fuzz_align --budget-s=10 --quiet
 
 echo "==> service_smoke (5 s oracle-verified loadgen, mixed gap models)"
 build/tools/loadgen --rate=120 --duration-s=5 --subjects=2 \
@@ -201,7 +212,8 @@ build/tools/fuzz_align --db --budget-s=10 --quiet
 cmake -B build-asan -S . -DGDSM_SANITIZE=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target db_test fuzz_align \
-  striped_precision_test db_scan_test batch_kernel_test cluster_submit_test
+  striped_precision_test db_scan_test batch_kernel_test cluster_submit_test \
+  heuristic_test heuristic_block_test strategy_test
 build-asan/tests/db_test --gtest_brief=1
 build-asan/tools/fuzz_align --db --seed=1 --faults=none --quiet
 echo "==> striped escalation suite (ASan)"
@@ -212,6 +224,16 @@ build-asan/tests/striped_precision_test --gtest_brief=1
 echo "==> job scratch suite (ASan)"
 build-asan/tests/cluster_submit_test --gtest_brief=1 \
   --gtest_filter='ClusterScratch.*'
+
+# The heuristic block kernel copies every block's borders into recycled
+# per-thread structure-of-arrays buffers and reads padded row, column and
+# subject buffers along anti-diagonals: an out-of-bounds strip load or a
+# stale buffer size shows up here, on the block shapes of the differential
+# suite and on every strategy.
+echo "==> heuristic kernels (ASan)"
+build-asan/tests/heuristic_test --gtest_brief=1
+build-asan/tests/heuristic_block_test --gtest_brief=1
+build-asan/tests/strategy_test --gtest_brief=1
 
 echo "==> db_scan (filtration scan + batch kernel + persisted index)"
 # Survivor sets against an independent per-fragment bound, direct vs

@@ -95,8 +95,9 @@ gdsm::testing::OracleVerdict run_service_case(
   gdsm::Sequence subject = pair.t;
   subject.set_name("t");
 
+  // The scalar kernel whatever GDSM_KERNEL says (see testing/oracle.cpp).
   const std::vector<gdsm::Candidate> ref_candidates =
-      gdsm::heuristic_scan(pair.s, subject, c.scheme, c.params);
+      gdsm::heuristic_scan_reference(pair.s, subject, c.scheme, c.params);
   const gdsm::BestLocal ref_best =
       gdsm::sw_best_score_linear(pair.s, subject, c.scheme);
   v.serial_best = ref_best.score;
@@ -175,7 +176,7 @@ gdsm::testing::OracleVerdict run_service_case(
       }
       if (out.result.candidates != ref_candidates) {
         o->regions_ok = false;
-        o->detail = "candidate queue != heuristic_scan";
+        o->detail = "candidate queue != heuristic_scan_reference";
       }
     }
   }
