@@ -1,6 +1,5 @@
 #include "core/blocked.h"
 
-#include <atomic>
 #include <cassert>
 #include <memory>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 
 #include "core/band_compute.h"
 #include "core/partition.h"
-#include "core/result_gather.h"
 #include "dsm/cluster.h"
 
 namespace gdsm::core {
@@ -63,11 +61,8 @@ StrategyResult blocked_align(const Sequence& s, const Sequence& t,
     boundary.emplace_back(
         scratch.alloc(n * sizeof(CellInfo), grid.band_owner(b, P)), n);
   }
-  const CandidateGather gather(scratch, P, cfg.max_candidates_per_node);
 
   const HeuristicKernel kernel(cfg.scheme, cfg.params);
-  std::atomic<bool> overflow{false};
-  std::vector<Candidate> merged;
 
   // submit/await (rather than run + stats()) so the per-job node counters
   // cannot be confused with a neighbouring job's on a shared service cluster.
@@ -109,14 +104,13 @@ StrategyResult blocked_align(const Sequence& s, const Sequence& t,
           });
     }
 
-    if (!gather.publish(node, std::move(sink.queue()))) overflow.store(true);
-    node.barrier();
-    if (p == 0) merged = gather.collect(node);
+    node.set_result(
+        node_candidates(std::move(sink.queue()), cfg.max_candidates_per_node));
   }, std::move(scratch));
 
-  result.dsm_stats = cluster.await(ticket);
-  result.candidates = std::move(merged);
-  result.overflow = overflow.load();
+  dsm::Cluster::JobResult job = cluster.await(ticket);
+  result.dsm_stats = std::move(job.stats);
+  merge_node_candidates(job.results, result);
   return result;
 }
 

@@ -38,6 +38,8 @@ struct BlockedConfig {
   std::size_t blocks = 0;
   ScoreScheme scheme{};
   HeuristicParams params{};
+  /// Candidates each node hands back at most (its finalized queue is
+  /// truncated to this, and StrategyResult::overflow set).
   std::size_t max_candidates_per_node = 1u << 16;
   dsm::DsmConfig dsm{};
   /// Caller-owned persistent cluster to run on (the alignment service's

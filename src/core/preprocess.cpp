@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "core/partition.h"
 #include "dsm/cluster.h"
+#include "net/message.h"
 #include "simd/dispatch.h"
 
 namespace gdsm::core {
@@ -96,6 +99,51 @@ std::vector<std::size_t> chunk_offsets(std::size_t n, std::size_t first_chunk,
   return offs;
 }
 
+namespace {
+
+/// One buffered save of a forked node: u8 store (0 = columns, 1 = passage
+/// rows), u32 col, u32 row_begin, u32 count, then count i32 values.
+void append_saved(std::vector<std::byte>& out, bool row_store,
+                  std::uint32_t col, std::uint32_t row_begin,
+                  std::span<const std::int32_t> values) {
+  net::append_pod(out, static_cast<std::uint8_t>(row_store ? 1 : 0));
+  net::append_pod(out, col);
+  net::append_pod(out, row_begin);
+  net::append_pod(out, static_cast<std::uint32_t>(values.size()));
+  const auto* raw = reinterpret_cast<const std::byte*>(values.data());
+  out.insert(out.end(), raw, raw + values.size() * sizeof(std::int32_t));
+}
+
+/// Saves every record of one node's append_saved payload into its store.
+void replay_saved(const std::vector<std::byte>& payload, ColumnStore* store,
+                  ColumnStore* row_store) {
+  constexpr std::size_t kHeader = 1 + 3 * sizeof(std::uint32_t);
+  std::vector<std::int32_t> values;
+  std::size_t off = 0;
+  while (off < payload.size()) {
+    if (payload.size() - off < kHeader) {
+      throw std::runtime_error("preprocess_align: truncated saved column");
+    }
+    const auto which = net::read_pod<std::uint8_t>(payload, off);
+    const auto col = net::read_pod<std::uint32_t>(payload, off + 1);
+    const auto row_begin = net::read_pod<std::uint32_t>(payload, off + 5);
+    const auto count = net::read_pod<std::uint32_t>(payload, off + 9);
+    off += kHeader;
+    ColumnStore* dst = which == 1 ? row_store : store;
+    if (which > 1 || dst == nullptr ||
+        count > (payload.size() - off) / sizeof(std::int32_t)) {
+      throw std::runtime_error("preprocess_align: malformed saved column");
+    }
+    values.resize(count);
+    std::memcpy(values.data(), payload.data() + off,
+                count * sizeof(std::int32_t));
+    off += count * sizeof(std::int32_t);
+    dst->save(col, row_begin, values);
+  }
+}
+
+}  // namespace
+
 PreProcessResult preprocess_align(const Sequence& s, const Sequence& t,
                                   const PreProcessConfig& cfg) {
   const int P = cfg.nprocs;
@@ -151,9 +199,27 @@ PreProcessResult preprocess_align(const Sequence& s, const Sequence& t,
 
   std::vector<std::vector<std::uint64_t>> collected;
 
-  cluster.run([&](dsm::Node& node) {
+  // On the process backend nodes 1..P-1 run in forked children, where a
+  // save into the host stores would be lost: they buffer their saves and
+  // hand them back with their end-of-job message, and the host replays
+  // them below.  Node 0, and every node on the thread backend, saves as
+  // soon as the column is ready.
+  const bool forked = dsm_cfg.backend == dsm::Backend::kProcess;
+
+  const dsm::Cluster::Ticket ticket = cluster.submit([&](dsm::Node& node) {
     const int p = node.id();
     node.barrier();
+
+    std::vector<std::byte> buffered;  // append_saved records (forked nodes)
+    auto save = [&](ColumnStore* store, std::uint32_t col,
+                    std::uint32_t row_begin,
+                    std::span<const std::int32_t> values) {
+      if (!forked || p == 0) {
+        store->save(col, row_begin, values);
+        return;
+      }
+      append_saved(buffered, store == cfg.row_store, col, row_begin, values);
+    };
 
     std::vector<std::int32_t> prev_col;
     std::vector<std::int32_t> cur_col;
@@ -271,12 +337,11 @@ PreProcessResult preprocess_align(const Sequence& s, const Sequence& t,
               if (affine) {
                 std::vector<std::int32_t> frag(cur_col);
                 frag.insert(frag.end(), cur_col_f.begin(), cur_col_f.end());
-                cfg.store->save(static_cast<std::uint32_t>(j),
-                                static_cast<std::uint32_t>(row_lo + 1), frag);
+                save(cfg.store, static_cast<std::uint32_t>(j),
+                     static_cast<std::uint32_t>(row_lo + 1), frag);
               } else {
-                cfg.store->save(static_cast<std::uint32_t>(j),
-                                static_cast<std::uint32_t>(row_lo + 1),
-                                cur_col);
+                save(cfg.store, static_cast<std::uint32_t>(j),
+                     static_cast<std::uint32_t>(row_lo + 1), cur_col);
               }
             }
             bottom_out[w] = cur_col[H - 1];
@@ -296,12 +361,11 @@ PreProcessResult preprocess_align(const Sequence& s, const Sequence& t,
           if (affine) {
             std::vector<std::int32_t> frag(bottom_out);
             frag.insert(frag.end(), bottom_out_e.begin(), bottom_out_e.end());
-            cfg.row_store->save(static_cast<std::uint32_t>(rows[b + 1]),
-                                static_cast<std::uint32_t>(col_lo + 1), frag);
+            save(cfg.row_store, static_cast<std::uint32_t>(rows[b + 1]),
+                 static_cast<std::uint32_t>(col_lo + 1), frag);
           } else {
-            cfg.row_store->save(static_cast<std::uint32_t>(rows[b + 1]),
-                                static_cast<std::uint32_t>(col_lo + 1),
-                                bottom_out);
+            save(cfg.row_store, static_cast<std::uint32_t>(rows[b + 1]),
+                 static_cast<std::uint32_t>(col_lo + 1), bottom_out);
           }
         }
         if (!last_band) {
@@ -327,13 +391,18 @@ PreProcessResult preprocess_align(const Sequence& s, const Sequence& t,
         result_rows[b].get_range(node, 0, groups, collected[b].data());
       }
     }
+    node.set_result(std::move(buffered));
   });
 
-  if (cfg.io_mode == IoMode::kImmediate && cfg.store != nullptr) {
+  dsm::Cluster::JobResult job = cluster.await(ticket);
+  for (const std::vector<std::byte>& payload : job.results) {
+    replay_saved(payload, cfg.store, cfg.row_store);
+  }
+  if (cfg.io_mode != IoMode::kNone && cfg.store != nullptr) {
     cfg.store->flush();
   }
   result.result_matrix = std::move(collected);
-  result.dsm_stats = cluster.stats();
+  result.dsm_stats = std::move(job.stats);
   return result;
 }
 

@@ -1,13 +1,11 @@
 #include "core/wavefront.h"
 
-#include <atomic>
 #include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "core/partition.h"
-#include "core/result_gather.h"
 #include "dsm/cluster.h"
 
 namespace gdsm::core {
@@ -68,11 +66,8 @@ StrategyResult wavefront_align(const Sequence& s, const Sequence& t,
       shared_writing.emplace_back(scratch.alloc(bytes, p), width);
     }
   }
-  const CandidateGather gather(scratch, P, cfg.max_candidates_per_node);
 
   const HeuristicKernel kernel(cfg.scheme, cfg.params);
-  std::atomic<bool> overflow{false};
-  std::vector<Candidate> merged;
 
   // submit/await (rather than run + stats()) so the per-job node counters
   // cannot be confused with a neighbouring job's on a shared service cluster.
@@ -151,15 +146,14 @@ StrategyResult wavefront_align(const Sequence& s, const Sequence& t,
     // Candidates still open on the bottom row of the matrix.
     for (const CellInfo& cell : reading) sink.flush_open(cell);
 
-    if (!gather.publish(node, std::move(sink.queue()))) overflow.store(true);
-    node.barrier();  // end-of-computation barrier
-    if (p == 0) merged = gather.collect(node);
+    node.set_result(
+        node_candidates(std::move(sink.queue()), cfg.max_candidates_per_node));
   }, std::move(scratch));
 
   StrategyResult result;
-  result.dsm_stats = cluster.await(ticket);
-  result.candidates = std::move(merged);
-  result.overflow = overflow.load();
+  dsm::Cluster::JobResult job = cluster.await(ticket);
+  result.dsm_stats = std::move(job.stats);
+  merge_node_candidates(job.results, result);
   return result;
 }
 

@@ -11,7 +11,8 @@
 //   writer p:  [wait slot_free]  write border cell  signal data_ready
 //   reader p+1: wait data_ready  read border cell   signal slot_free
 //
-// Barriers are used only at the beginning and the end of the computation.
+// A barrier starts the computation; at the end each node hands its
+// finalized queue back with its end-of-job message (core/strategy_result.h).
 #pragma once
 
 #include "core/strategy_result.h"
@@ -30,7 +31,8 @@ struct WavefrontConfig {
   int nprocs = 4;
   ScoreScheme scheme{};
   HeuristicParams params{};
-  /// Capacity of each node's shared result buffer.
+  /// Candidates each node hands back at most (its finalized queue is
+  /// truncated to this, and StrategyResult::overflow set).
   std::size_t max_candidates_per_node = 1u << 16;
   /// Paper-literal mode: the two linear arrays live in SHARED memory (homed
   /// at their node) and the writing row is copied onto the reading row after

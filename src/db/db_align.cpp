@@ -1,12 +1,14 @@
 #include "db/db_align.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 
 #include "db/meter.h"
+#include "dsm/wire.h"
 #include "simd/batch.h"
 #include "sw/linear_score.h"
 
@@ -149,10 +151,10 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
 
   if (!filt.survivors.empty() && !query.empty() &&
       filt.survivors.size() <= db.config().direct_align_max) {
-    // Too few survivors to amortize a cluster dispatch (two barriers
-    // dominate a fragment or two of DP): score them in place, straight
-    // from the host copy.  Hit-for-hit identical to the cluster path —
-    // only the transport differs.
+    // Too few survivors to amortize a cluster dispatch (the job start and
+    // the end-of-job sweep dominate a fragment or two of DP): score them in
+    // place, straight from the host copy.  Hit-for-hit identical to the
+    // cluster path — only the transport differs.
     score_in_tiles(
         query, scheme, min_score, filt.survivors.size(),
         [&](std::size_t k, std::size_t) {
@@ -167,15 +169,6 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
         });
   } else if (!filt.survivors.empty() && !query.empty()) {
     const std::size_t m = query.size();
-    const std::size_t query_bytes = m * sizeof(Base);
-    // Per-query job scratch, pooled again after the job: the query page(s)
-    // homed at node 0, one [score, end_i, end_j] triple per survivor, also
-    // homed at node 0 where the gather runs.
-    dsm::Scratch scratch = cluster.scratch();
-    const dsm::GlobalAddr query_addr = scratch.alloc(query_bytes, 0);
-    const dsm::GlobalAddr result_addr =
-        scratch.alloc(filt.survivors.size() * 3 * sizeof(std::int32_t), 0);
-
     struct Work {
       std::uint32_t fragment;
       int owner;
@@ -193,20 +186,16 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
     }
     const std::size_t frag_cap = db.config().fragment_len;
 
-    std::vector<std::int32_t> gathered(work.size() * 3, 0);
+    // Each owner scores its survivors against the query from the program's
+    // capture and hands back one record per hit with its end-of-job
+    // message: no query or result pages, no barrier.
+    struct HitRecord {
+      std::uint32_t work_index;
+      std::int32_t score;
+      std::uint32_t end_i;
+      std::uint32_t end_j;
+    };
     const dsm::Cluster::Ticket ticket = cluster.submit([&](dsm::Node& node) {
-      if (node.id() == 0) {
-        node.write_bytes(query_addr,
-                         reinterpret_cast<const std::byte*>(query.data()),
-                         query_bytes);
-      }
-      node.barrier();  // query published; remote nodes fault it in below
-
-      std::basic_string<Base> qbuf(m, Base{});
-      node.read_bytes(query_addr, reinterpret_cast<std::byte*>(qbuf.data()),
-                      query_bytes);
-      const Sequence q("query", std::move(qbuf));
-
       // This node's survivors stream through one tile buffer, 32 at a
       // time, straight from the home copies of its shard.
       std::vector<std::size_t> mine;
@@ -214,8 +203,9 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
         if (work[k].owner == node.id()) mine.push_back(k);
       }
       std::vector<Base> fbuf(simd::kBatchLanes * frag_cap);
+      std::vector<HitRecord> hits;
       score_in_tiles(
-          q, scheme, min_score, mine.size(),
+          query, scheme, min_score, mine.size(),
           [&](std::size_t k, std::size_t lane) {
             const Work& w = work[mine[k]];
             Base* dst = fbuf.data() + lane * frag_cap;
@@ -225,32 +215,29 @@ DbQueryResult db_query(dsm::Cluster& cluster, const SubjectDb& db,
             return std::pair<const Base*, std::size_t>(dst, w.len);
           },
           [&](std::size_t k, const BestLocal& b) {
-            const std::int32_t triple[3] = {
-                b.score, static_cast<std::int32_t>(b.end_i),
-                static_cast<std::int32_t>(b.end_j)};
-            node.write_bytes(result_addr + mine[k] * 3 * sizeof(std::int32_t),
-                             reinterpret_cast<const std::byte*>(triple),
-                             sizeof(triple));
+            if (b.score < min_score) return;
+            hits.push_back({static_cast<std::uint32_t>(mine[k]), b.score,
+                            static_cast<std::uint32_t>(b.end_i),
+                            static_cast<std::uint32_t>(b.end_j)});
           });
-      node.barrier();  // per-fragment diffs land at the home before gather
-      if (node.id() == 0) {
-        node.read_bytes(result_addr,
-                        reinterpret_cast<std::byte*>(gathered.data()),
-                        gathered.size() * sizeof(std::int32_t));
-      }
-    }, std::move(scratch));
-    const dsm::DsmStats stats = cluster.await(ticket);
-    const dsm::NodeStats totals = stats.total_node();
+      node.set_result(dsm::wire::encode_records(
+          false, std::span<const HitRecord>(hits)));
+    });
+    dsm::Cluster::JobResult job = cluster.await(ticket);
+    const dsm::NodeStats totals = job.stats.total_node();
     out.cache_hits = totals.cache_hits;
     out.read_faults = totals.read_faults;
 
-    for (std::size_t k = 0; k < work.size(); ++k) {
-      const std::int32_t score = gathered[k * 3];
-      if (score < min_score) continue;
-      out.hits.push_back(make_hit(
-          db.fragments()[work[k].fragment], score,
-          static_cast<std::uint32_t>(gathered[k * 3 + 1]),
-          static_cast<std::uint32_t>(gathered[k * 3 + 2])));
+    std::vector<HitRecord> hits;
+    for (const std::vector<std::byte>& payload : job.results) {
+      dsm::wire::append_records(payload, hits);
+    }
+    for (const HitRecord& h : hits) {
+      if (h.work_index >= work.size()) {
+        throw std::runtime_error("db_query: node result names no survivor");
+      }
+      out.hits.push_back(make_hit(db.fragments()[work[h.work_index].fragment],
+                                  h.score, h.end_i, h.end_j));
     }
   }
   sort_hits(out.hits);

@@ -4,14 +4,14 @@
 // DbShards materializes that plan in cluster global memory — one per-node
 // arena homed at its owner and seeded once with host_write.  Only the owner
 // reads a fragment, straight from its home copy, so no shard page is ever
-// cached on another node.  db_query then runs one SPMD job per query:
-// node 0 publishes the query into shared memory, every node scores the
-// filtration survivors resident in *its* shard with the inter-sequence
-// batch kernel, 32 fragments per tile (simd/batch.h; local home reads —
-// sharding is the data-locality play), the per-fragment results travel
-// back through shared memory (diffs to home at the barrier, so the run
-// exercises the comm plane and fault plans like every other strategy), and
-// the host assembles the hit list.  The rare fragments that reach
+// cached on another node.  db_query then runs one SPMD job per query with
+// no barrier and no shared query or result pages: every node reads the
+// query from the program's capture, scores the filtration survivors
+// resident in *its* shard with the inter-sequence batch kernel, 32
+// fragments per tile (simd/batch.h; local home reads — sharding is the
+// data-locality play), and hands its hits back with its end-of-job message
+// (dsm::Node::set_result); the host assembles the hit list.  The rare
+// fragments that reach
 // min_score are rerun through sw_best_score_linear for their end cell, so
 // hits are the reference kernel's answer by construction.
 #pragma once

@@ -73,8 +73,8 @@ struct DbConfig {
   std::size_t q = 5;
   /// Forwarded candidates per query at or below which db_query aligns them
   /// host-side with the same dispatched kernel instead of paying a cluster
-  /// dispatch (two barriers plus engine-thread wakeups dominate a handful
-  /// of fragments of SIMD DP).  0 always dispatches.
+  /// dispatch (engine-thread wakeups and the end-of-job sweep dominate a
+  /// handful of fragments of SIMD DP).  0 always dispatches.
   std::size_t direct_align_max = 8;
   /// When non-empty, the service's load path persists / reuses the q-gram
   /// index at this path (AlignService::load_db).

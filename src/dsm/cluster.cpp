@@ -171,6 +171,7 @@ void Cluster::proc_engine_loop() {
     job->scratch.release();  // children exited, node 0's cache swept
     job->failures = std::move(out.failures);
     job->stats = std::move(out.stats);
+    job->results = std::move(out.results);
     if (!job->failures.empty()) {
       // throw_failures rethrows first_error verbatim for a single failure:
       // preserve node 0's original exception when it is the culprit, and
@@ -219,7 +220,11 @@ void Cluster::finalize_job(Job& job) {
   // a clean job keeps resident data warm.
   const std::set<PageId> keep = failed ? std::set<PageId>{} : retained_pages_;
   job.stats.clear();
-  for (auto& n : nodes_) job.stats.push_back(n->end_of_job(keep));
+  job.results.clear();
+  for (auto& n : nodes_) {
+    job.results.push_back(n->take_result());
+    job.stats.push_back(n->end_of_job(keep));
+  }
   reset_manager_state();
   job.scratch.release();  // no cache holds a frame of these pages any more
   last_run_stats_ = job.stats;
@@ -272,23 +277,24 @@ void Cluster::throw_failures(const Job& job) {
   throw std::runtime_error(combined);
 }
 
-DsmStats Cluster::await(const Ticket& ticket) {
+Cluster::JobResult Cluster::await(const Ticket& ticket) {
   if (!ticket.job_) throw std::logic_error("Cluster: await on empty ticket");
   std::unique_lock<std::mutex> lk(jobs_mu_);
   done_cv_.wait(lk, [&] { return ticket.job_->done; });
-  const Job& job = *ticket.job_;
+  Job& job = *ticket.job_;
   if (!job.failures.empty()) throw_failures(job);
-  DsmStats out;
-  out.backend = cfg_.backend;
-  out.node = job.stats;
-  out.home_migrations = home_migrations();
+  JobResult out;
+  out.stats.backend = cfg_.backend;
+  out.stats.node = job.stats;
+  out.stats.home_migrations = home_migrations();
   if (cfg_.backend == Backend::kProcess) {
-    out.traffic = supervisor_->traffic();
-    out.faults = supervisor_->fault_counters();
+    out.stats.traffic = supervisor_->traffic();
+    out.stats.faults = supervisor_->fault_counters();
   } else {
-    out.traffic = transport_.per_node_counters();
-    out.faults = transport_.fault_counters();
+    out.stats.traffic = transport_.per_node_counters();
+    out.stats.faults = transport_.fault_counters();
   }
+  out.results = std::move(job.results);
   return out;
 }
 

@@ -91,13 +91,21 @@ class Cluster {
   /// end-of-job cache sweep is done, before await() returns.
   Ticket submit(std::function<void(Node&)> program, Scratch scratch = {});
 
-  /// Blocks until the ticket's job has finished and returns that job's
-  /// stats (per-node counters are per-job; traffic/fault counters are
-  /// cumulative).  Exceptions thrown by node programs are rethrown here:
+  /// What a finished job hands back to its submitter.
+  struct JobResult {
+    /// Per-node counters are per-job; traffic/fault counters cumulative.
+    DsmStats stats;
+    /// One payload per node, as its program passed it to Node::set_result
+    /// (empty for a node that set none).
+    std::vector<std::vector<std::byte>> results;
+  };
+
+  /// Blocks until the ticket's job has finished and returns its stats and
+  /// node results.  Exceptions thrown by node programs are rethrown here:
   /// a single failure rethrows the original exception, multiple failures
   /// throw one aggregate std::runtime_error listing every culprit.  May be
   /// called at most once per ticket and from one thread.
-  DsmStats await(const Ticket& ticket);
+  JobResult await(const Ticket& ticket);
 
   /// submit() + await(): runs `program` once on every node and joins.  May
   /// be called multiple times; manager state is reset between runs, traffic
@@ -149,6 +157,7 @@ class Cluster {
     std::exception_ptr first_error;
     std::vector<NodeFailure> failures;  ///< typed (node, kind, what)
     std::vector<NodeStats> stats;  ///< per-job node counters (take-and-zero)
+    std::vector<std::vector<std::byte>> results;  ///< per node set_result()
   };
 
   void reset_manager_state();

@@ -162,8 +162,8 @@ class GlobalSpace {
   std::unique_ptr<std::mutex[]> shards_;
 };
 
-/// Job-scoped global memory: the pages one job uses as scratch (border
-/// rows, gather buffers, a query's pages).  Allocates like
+/// Job-scoped global memory: the pages one job uses as scratch (the
+/// strategies' border rows and slots).  Allocates like
 /// GlobalSpace::alloc; release() hands every page back to the space's free
 /// pool.  Cluster::submit takes a holder over and releases it only after
 /// the job's end-of-job cache sweep, so no node can still cache a frame of

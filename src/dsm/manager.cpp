@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dsm/node.h"
 #include "dsm/wire.h"
 
 namespace gdsm::dsm {
@@ -62,6 +63,38 @@ void ProtocolManager::grant_lock(int lock_id, const Waiter& to) {
                            static_cast<std::ptrdiff_t>(seen_by_all));
     for (auto& seen : l.last_seen) seen -= seen_by_all;
   }
+}
+
+void ProtocolManager::grant_cv(int cv_id, const Waiter& to) {
+  CvState& cv = cvs_[static_cast<std::size_t>(cv_id / n_nodes_)];
+  std::vector<PageId>& notices = cv.pending_notices;
+  std::sort(notices.begin(), notices.end());
+  notices.erase(std::unique(notices.begin(), notices.end()), notices.end());
+  net::Message grant;
+  grant.src = node_;
+  grant.dst = to.node;
+  grant.type = net::MsgType::kCvGrant;
+  grant.to_reply_box = true;
+  grant.a = static_cast<std::uint64_t>(cv_id);
+  grant.c = to.req_id;
+  wire::begin_cv_grant(grant.payload, notices);
+  // The noticed pages homed here ride along with their current home
+  // contents: the waiter is about to read what the signaller published, so
+  // this saves it one fetch round trip to this very node.  A waiter on its
+  // own manager already reads those pages at home.
+  if (to.node != node_) {
+    std::size_t carried = 0;
+    for (PageId p : notices) {
+      if (carried == Node::kMaxBatchPages) break;
+      if (space_.home_of(p) != node_) continue;
+      const std::scoped_lock guard(space_.page_mutex(p));
+      wire::append_page_data(grant.payload, p, space_.home_data(p),
+                             space_.page_bytes());
+      ++carried;
+    }
+  }
+  notices.clear();
+  send_(std::move(grant));
 }
 
 void ProtocolManager::handle_message(net::Message msg) {
@@ -229,16 +262,7 @@ void ProtocolManager::handle_message(net::Message msg) {
       if (!cv.waiters.empty()) {
         const Waiter waiter = cv.waiters.front();
         cv.waiters.pop_front();
-        net::Message grant;
-        grant.src = node_;
-        grant.dst = waiter.node;
-        grant.type = MsgType::kCvGrant;
-        grant.to_reply_box = true;
-        grant.a = static_cast<std::uint64_t>(cv_id);
-        grant.c = waiter.req_id;
-        grant.payload = wire::encode_pages(cv.pending_notices);
-        cv.pending_notices.clear();
-        send_(std::move(grant));
+        grant_cv(cv_id, waiter);
       } else {
         ++cv.count;
       }
@@ -249,16 +273,7 @@ void ProtocolManager::handle_message(net::Message msg) {
       CvState& cv = cvs_[static_cast<std::size_t>(cv_id / n_nodes_)];
       if (cv.count > 0) {
         --cv.count;
-        net::Message grant;
-        grant.src = node_;
-        grant.dst = msg.src;
-        grant.type = MsgType::kCvGrant;
-        grant.to_reply_box = true;
-        grant.a = static_cast<std::uint64_t>(cv_id);
-        grant.c = msg.c;
-        grant.payload = wire::encode_pages(cv.pending_notices);
-        cv.pending_notices.clear();
-        send_(std::move(grant));
+        grant_cv(cv_id, Waiter{msg.src, msg.c});
       } else {
         cv.waiters.push_back(Waiter{msg.src, msg.c});
       }

@@ -77,6 +77,10 @@ class ProtocolManager {
   };
 
   void grant_lock(int lock_id, const Waiter& to);
+  /// Grants cv `cv_id` to `to` with the cv's pending write notices, plus
+  /// the current contents of up to Node::kMaxBatchPages noticed pages homed
+  /// at this manager (wire::decode_cv_grant); clears the notices.
+  void grant_cv(int cv_id, const Waiter& to);
 
   int node_;
   int n_nodes_;

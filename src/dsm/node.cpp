@@ -474,7 +474,41 @@ void Node::waitcv(int cv_id) {
   msg.a = static_cast<std::uint64_t>(cv_id);
   net::Message grant = request(std::move(msg));
   assert(grant.type == net::MsgType::kCvGrant);
-  apply_notices(grant.payload);
+  const wire::CvGrant decoded =
+      wire::decode_cv_grant(grant.payload, page_bytes_);
+  // Install the carried pages in place of a fetch.  A dirty local copy
+  // (concurrent writer) stays for apply_notices below to flush and drop,
+  // and the carried copy is discarded: it predates our diff at the home.
+  std::vector<PageId> installed;
+  installed.reserve(decoded.pages.size());
+  for (const wire::PageDataSpan& span : decoded.pages) {
+    if (!space_.valid_page(span.page)) {
+      throw std::runtime_error("DSM node: cv grant carries an unknown page");
+    }
+    if (space_.home_of(span.page) == id_) continue;
+    if (const Frame* f = cache_.lookup(span.page); f != nullptr) {
+      if (f->dirty) continue;
+      drop(span.page);  // the stale clean copy
+      ++stats_.invalidations;
+    }
+    const auto first =
+        grant.payload.begin() + static_cast<std::ptrdiff_t>(span.offset);
+    install(span.page,
+            std::vector<std::byte>(
+                first, first + static_cast<std::ptrdiff_t>(page_bytes_)));
+    // read_faults counts remote fetches however they were transported.
+    ++stats_.read_faults;
+    ++stats_.grant_pages;
+    installed.push_back(span.page);
+  }
+  std::vector<PageId> stale;
+  for (PageId p : decoded.notices) {
+    if (std::find(installed.begin(), installed.end(), p) == installed.end()) {
+      stale.push_back(p);
+    }
+  }
+  apply_notices(stale);
+  flush_deferred_dirty();
 }
 
 GlobalAddr Node::alloc(std::size_t bytes, int home) {
@@ -496,6 +530,7 @@ NodeStats Node::end_of_job(const std::set<PageId>& retained) {
   home_written_.clear();
   pending_notices_.clear();
   deferred_dirty_.clear();
+  result_.clear();
   NodeStats out = stats_;
   stats_ = NodeStats{};
   account_comm_totals(out);

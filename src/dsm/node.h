@@ -32,7 +32,17 @@
 // (invalidation of the noticed pages).  The paper's wave-front strategies
 // publish a border cell and then signal a condition variable; without
 // release/acquire semantics on the cv pair that publication would be
-// invisible under pure Scope Consistency.
+// invisible under pure Scope Consistency.  The grant also carries the
+// current home contents of the noticed pages homed at the granting manager
+// (at most kMaxBatchPages): the waiter installs them as clean frames instead
+// of fetching each one right after the wait from the node that just granted
+// it.  A dirty local copy of a carried page is flushed and dropped as any
+// noticed page is, and the carried copy discarded.
+//
+// A node program hands its result back with set_result(): the submitter
+// gets one payload per node from Cluster::await, on the thread backend from
+// the node object and on the process backend in a frame the child sends
+// before it reports done — results never travel through shared pages.
 #pragma once
 
 #include <cstdint>
@@ -91,20 +101,28 @@ class Node {
 
   const NodeStats& stats() const noexcept { return stats_; }
 
+  /// Hands `payload` back to the submitter as this node's entry of
+  /// Cluster::JobResult::results (a later call replaces an earlier one).
+  void set_result(std::vector<std::byte> payload) {
+    result_ = std::move(payload);
+  }
+  /// Takes the payload set by this job's program (empty if none).
+  std::vector<std::byte> take_result() { return std::move(result_); }
+
   /// Attributes `cells` DP cell updates to this node (strategy loops call
   /// this next to their simd kernel dispatches; see dsm_stats.dp_cells).
   void add_dp_cells(std::uint64_t cells) noexcept { stats_.dp_cells += cells; }
 
   /// Per-job teardown for the persistent cluster, run by the cluster (not
   /// by node programs) between jobs: sweeps the cache keeping only clean
-  /// frames of `retained` pages, clears per-interval write tracking, folds
-  /// the counters into the process-wide comm totals, and returns-and-zeroes
-  /// this node's counters.
+  /// frames of `retained` pages, clears per-interval write tracking and an
+  /// untaken result, folds the counters into the process-wide comm totals,
+  /// and returns-and-zeroes this node's counters.
   NodeStats end_of_job(const std::set<PageId>& retained);
 
   /// Outstanding kGetPages / kDiffBatch requests of one bulk exchange.
   static constexpr std::size_t kWindow = 8;
-  /// Pages carried by one kGetPages or kDiffBatch request at most.
+  /// Pages carried by one kGetPages, kDiffBatch or kCvGrant at most.
   static constexpr std::size_t kMaxBatchPages = 64;
 
  protected:
@@ -190,6 +208,7 @@ class Node {
   std::vector<PageId> pending_notices_;  ///< e.g. dirty evictions mid-interval
   std::vector<std::byte> diff_scratch_;  ///< reused diff-encode buffer
   std::vector<DeferredDirty> deferred_dirty_;
+  std::vector<std::byte> result_;  ///< set_result() payload of this job
 };
 
 /// The in-process backend: page bytes in the PageCache frames, messages

@@ -207,6 +207,11 @@ class ChildThread {
     set_thread_fault_sink(&node_obj);
     try {
       program(node_obj);
+      // The result rides its own frame ahead of the success kDone, so the
+      // parent holds it by the time it sees this node done.
+      const std::vector<std::byte> result = node_obj.take_result();
+      plane.write_control(net::FrameKind::kResult, result.data(),
+                          result.size());
     } catch (const std::exception& e) {
       done_body = net::encode_error_body(net::classify_error(e), e.what());
     } catch (...) {
@@ -390,6 +395,11 @@ void Supervisor::reader_loop(Child& c) {
           cv_.notify_all();
           break;
         }
+        case net::FrameKind::kResult: {
+          const std::scoped_lock guard(mu_);
+          c.result = std::move(f->body);
+          break;
+        }
         case net::FrameKind::kDrained:
           {
             const std::scoped_lock guard(mu_);
@@ -481,6 +491,7 @@ Supervisor::Outcome Supervisor::run_job(
     c.outbox = std::make_unique<Outbox>();
     c.done = c.drained = c.got_stats = c.dead = false;
     c.stats = NodeStats{};
+    c.result.clear();
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
       throw std::system_error(errno, std::generic_category(),
@@ -663,6 +674,8 @@ Supervisor::Outcome Supervisor::run_job(
   const bool failed = !out.failures.empty();
   const std::set<PageId> keep = failed ? std::set<PageId>{} : retained;
   out.stats.resize(static_cast<std::size_t>(n_nodes_));
+  out.results.resize(static_cast<std::size_t>(n_nodes_));
+  out.results[0] = node0_->take_result();
   out.stats[0] = node0_->end_of_job(keep);
   // Supervisor-level counters ride on node 0's row; account them into the
   // process-wide comm totals too (end_of_job already folded the rest).
@@ -677,6 +690,8 @@ Supervisor::Outcome Supervisor::run_job(
     // only in its own (now gone) process, so fold them here.
     out.stats[static_cast<std::size_t>(i)] =
         children_[static_cast<std::size_t>(i)]->stats;
+    out.results[static_cast<std::size_t>(i)] =
+        std::move(children_[static_cast<std::size_t>(i)]->result);
     account_comm_totals(out.stats[static_cast<std::size_t>(i)]);
   }
 

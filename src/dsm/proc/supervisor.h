@@ -16,12 +16,13 @@
 // child's socket.  Per-child writes go through a dedicated writer thread
 // draining an Outbox so the router never blocks on a full socket buffer;
 // a dedicated reader thread per child demultiplexes the opposite direction
-// (kMessage -> route, kDone/kDrained/kStats -> job control) and converts
+// (kMessage -> route, kResult/kDone/kDrained/kStats -> job control) and converts
 // socket EOF into a node failure instead of a hang.
 //
 // Job lifecycle (mirrors Cluster::finalize_job):
 //   fork children -> start reader/writer/service threads -> run node 0's
-//   program on the calling thread -> await every kDone -> injector drain ->
+//   program on the calling thread -> await every kDone (a child that
+//   succeeded sends its kResult payload first) -> injector drain ->
 //   kStop drain markers (ack'd by kDrained) -> injector drain -> kHalt ->
 //   children ship NodeStats and _exit(0) -> join/waitpid -> end_of_job.
 // A failure anywhere (program exception, service error, child death) closes
@@ -64,6 +65,7 @@ class Supervisor {
     std::vector<NodeFailure> failures;  ///< typed (node, kind, what)
     std::exception_ptr node0_error;  ///< node 0's original exception, if any
     std::vector<NodeStats> stats;    ///< per node; zeros for a dead child
+    std::vector<std::vector<std::byte>> results;  ///< per node set_result()
   };
 
   Supervisor(int n_nodes, const DsmConfig& cfg, GlobalSpace& space);
@@ -111,6 +113,7 @@ class Supervisor {
     bool got_stats = false;  ///< final NodeStats received (kStats)
     bool dead = false;       ///< socket EOF observed
     NodeStats stats;
+    std::vector<std::byte> result;  ///< the program's kResult payload
   };
 
   struct NodeTraffic {

@@ -60,6 +60,10 @@ struct NodeStats {
   std::uint64_t socket_bytes_sent = 0;      ///< data-plane socket traffic out
   std::uint64_t socket_bytes_received = 0;  ///< data-plane socket traffic in
 
+  // -- cv grants (v14; see docs/METRICS.md "comm" section) -----------------
+  std::uint64_t grant_pages = 0;  ///< pages installed from a kCvGrant (each
+                                  ///< also counts one read_faults)
+
   NodeStats& operator+=(const NodeStats& o) noexcept {
     read_faults += o.read_faults;
     cache_hits += o.cache_hits;
@@ -89,6 +93,7 @@ struct NodeStats {
     twins_created += o.twins_created;
     socket_bytes_sent += o.socket_bytes_sent;
     socket_bytes_received += o.socket_bytes_received;
+    grant_pages += o.grant_pages;
     return *this;
   }
 

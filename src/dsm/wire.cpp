@@ -6,8 +6,32 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace gdsm::dsm::wire {
+
+namespace {
+
+/// Bounds-checked read of a u64 at `off`, advancing it.
+std::uint64_t take_u64(const std::vector<std::byte>& payload, std::size_t& off,
+                       const char* what) {
+  if (off > payload.size() || payload.size() - off < sizeof(std::uint64_t)) {
+    throw std::runtime_error(std::string(what) + ": truncated payload");
+  }
+  const auto v = net::read_pod<std::uint64_t>(payload, off);
+  off += sizeof(std::uint64_t);
+  return v;
+}
+
+/// Checks that `count` items of `item_bytes` fit in the payload after `off`.
+void need(const std::vector<std::byte>& payload, std::size_t off,
+          std::uint64_t count, std::size_t item_bytes, const char* what) {
+  if (count > (payload.size() - off) / item_bytes) {
+    throw std::runtime_error(std::string(what) + ": truncated payload");
+  }
+}
+
+}  // namespace
 
 std::vector<std::byte> encode_pages(const std::vector<PageId>& pages) {
   std::vector<std::byte> out;
@@ -17,6 +41,9 @@ std::vector<std::byte> encode_pages(const std::vector<PageId>& pages) {
 }
 
 std::vector<PageId> decode_pages(const std::vector<std::byte>& payload) {
+  if (payload.size() % sizeof(PageId) != 0) {
+    throw std::runtime_error("decode_pages: truncated page id");
+  }
   std::vector<PageId> out;
   out.reserve(payload.size() / sizeof(PageId));
   for (std::size_t off = 0; off + sizeof(PageId) <= payload.size();
@@ -39,16 +66,20 @@ std::vector<std::byte> encode_barrier_grant(const BarrierGrant& grant) {
 }
 
 BarrierGrant decode_barrier_grant(const std::vector<std::byte>& payload) {
+  static constexpr const char* kWhat = "decode_barrier_grant";
   BarrierGrant grant;
   std::size_t off = 0;
-  const auto n_notices = net::read_pod<std::uint64_t>(payload, off);
-  off += 8;
+  const std::uint64_t n_notices = take_u64(payload, off, kWhat);
+  need(payload, off, n_notices, sizeof(PageId), kWhat);
   grant.notices.reserve(n_notices);
   for (std::uint64_t k = 0; k < n_notices; ++k, off += 8) {
     grant.notices.push_back(net::read_pod<PageId>(payload, off));
   }
-  const auto n_migr = net::read_pod<std::uint64_t>(payload, off);
-  off += 8;
+  const std::uint64_t n_migr = take_u64(payload, off, kWhat);
+  need(payload, off, n_migr, 16, kWhat);
+  if (off + n_migr * 16 != payload.size()) {
+    throw std::runtime_error("decode_barrier_grant: trailing bytes");
+  }
   for (std::uint64_t k = 0; k < n_migr; ++k, off += 16) {
     grant.migrations.emplace_back(
         net::read_pod<PageId>(payload, off),
@@ -165,18 +196,72 @@ void append_page_data(std::vector<std::byte>& out, PageId page,
 }
 
 std::vector<PageDataSpan> decode_pages_data(
-    const std::vector<std::byte>& payload, std::size_t page_bytes) {
+    const std::vector<std::byte>& payload, std::size_t page_bytes,
+    std::size_t first) {
   std::vector<PageDataSpan> out;
   const std::size_t frame = sizeof(PageId) + page_bytes;
-  if (payload.size() % frame != 0) {
+  if (first > payload.size() || (payload.size() - first) % frame != 0) {
     throw std::runtime_error("decode_pages_data: truncated page frame");
   }
-  out.reserve(payload.size() / frame);
-  for (std::size_t off = 0; off + frame <= payload.size(); off += frame) {
+  out.reserve((payload.size() - first) / frame);
+  for (std::size_t off = first; off + frame <= payload.size(); off += frame) {
     out.push_back(PageDataSpan{net::read_pod<PageId>(payload, off),
                                off + sizeof(PageId)});
   }
   return out;
+}
+
+void begin_cv_grant(std::vector<std::byte>& out,
+                    const std::vector<PageId>& notices) {
+  net::append_pod(out, static_cast<std::uint64_t>(notices.size()));
+  for (PageId p : notices) net::append_pod(out, p);
+}
+
+CvGrant decode_cv_grant(const std::vector<std::byte>& payload,
+                        std::size_t page_bytes) {
+  static constexpr const char* kWhat = "decode_cv_grant";
+  CvGrant grant;
+  std::size_t off = 0;
+  const std::uint64_t n_notices = take_u64(payload, off, kWhat);
+  need(payload, off, n_notices, sizeof(PageId), kWhat);
+  grant.notices.reserve(n_notices);
+  for (std::uint64_t k = 0; k < n_notices; ++k, off += sizeof(PageId)) {
+    grant.notices.push_back(net::read_pod<PageId>(payload, off));
+  }
+  grant.pages = decode_pages_data(payload, page_bytes, off);
+  return grant;
+}
+
+std::vector<std::byte> encode_records(bool flag, const std::byte* records,
+                                      std::size_t record_bytes,
+                                      std::size_t count) {
+  std::vector<std::byte> out;
+  out.reserve(1 + sizeof(std::uint64_t) + count * record_bytes);
+  net::append_pod(out, static_cast<std::uint8_t>(flag ? 1 : 0));
+  net::append_pod(out, static_cast<std::uint64_t>(count));
+  if (count > 0) out.insert(out.end(), records, records + count * record_bytes);
+  return out;
+}
+
+RecordSpan decode_records(const std::vector<std::byte>& payload,
+                          std::size_t record_bytes) {
+  static constexpr const char* kWhat = "decode_records";
+  if (payload.empty()) {
+    throw std::runtime_error("decode_records: empty payload");
+  }
+  const auto flag = std::to_integer<std::uint8_t>(payload[0]);
+  if (flag > 1) throw std::runtime_error("decode_records: bad flag byte");
+  std::size_t off = 1;
+  RecordSpan span;
+  span.flag = flag == 1;
+  const std::uint64_t count = take_u64(payload, off, kWhat);
+  need(payload, off, count, record_bytes, kWhat);
+  if (count * record_bytes != payload.size() - off) {
+    throw std::runtime_error("decode_records: trailing bytes");
+  }
+  span.count = static_cast<std::size_t>(count);
+  span.offset = off;
+  return span;
 }
 
 }  // namespace gdsm::dsm::wire

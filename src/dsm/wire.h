@@ -1,8 +1,13 @@
 // Payload encodings shared by the node (producer) and service (consumer)
-// sides of the protocol: write-notice lists and page diffs.
+// sides of the protocol: write-notice lists, page diffs, cv grants and node
+// results.  Every decoder throws std::runtime_error on a truncated or
+// malformed payload; none reads past the buffer.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "dsm/global_space.h"
@@ -10,7 +15,8 @@
 
 namespace gdsm::dsm::wire {
 
-/// Write notices: a flat array of page ids.
+/// Write notices: a flat array of page ids.  decode_pages rejects a payload
+/// that is not a whole number of ids.
 std::vector<std::byte> encode_pages(const std::vector<PageId>& pages);
 std::vector<PageId> decode_pages(const std::vector<std::byte>& payload);
 
@@ -76,7 +82,7 @@ std::vector<DiffBatchSpan> decode_diff_batch(
 
 /// Bulk page-data payload (kPagesData): repeated (u64 page, page_bytes of
 /// contents) frames; `page_bytes` is fixed cluster-wide so no length field
-/// is carried.
+/// is carried.  decode_pages_data reads the frames from byte `first` on.
 void append_page_data(std::vector<std::byte>& out, PageId page,
                       const std::byte* data, std::size_t page_bytes);
 
@@ -86,6 +92,59 @@ struct PageDataSpan {
 };
 
 std::vector<PageDataSpan> decode_pages_data(
-    const std::vector<std::byte>& payload, std::size_t page_bytes);
+    const std::vector<std::byte>& payload, std::size_t page_bytes,
+    std::size_t first = 0);
+
+/// Cv grant payload (kCvGrant): u64 notice count, the notices, then the
+/// pages the granting manager carries along as kPagesData frames — the
+/// current home contents of the noticed pages homed at that manager, so
+/// the waiter needs no fetch after the wait.  Write the notices with
+/// begin_cv_grant, then append_page_data once per carried page.
+void begin_cv_grant(std::vector<std::byte>& out,
+                    const std::vector<PageId>& notices);
+
+struct CvGrant {
+  std::vector<PageId> notices;
+  std::vector<PageDataSpan> pages;  ///< offsets into the decoded payload
+};
+
+CvGrant decode_cv_grant(const std::vector<std::byte>& payload,
+                        std::size_t page_bytes);
+
+/// Node result payload (Node::set_result) of the strategies: u8 flag (a
+/// node's overflow bit), u64 record count, then the fixed-size records.
+std::vector<std::byte> encode_records(bool flag, const std::byte* records,
+                                      std::size_t record_bytes,
+                                      std::size_t count);
+
+struct RecordSpan {
+  bool flag = false;
+  std::size_t count = 0;
+  std::size_t offset = 0;  ///< start of the first record inside the payload
+};
+
+RecordSpan decode_records(const std::vector<std::byte>& payload,
+                          std::size_t record_bytes);
+
+template <typename T>
+std::vector<std::byte> encode_records(bool flag, std::span<const T> records) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return encode_records(flag, reinterpret_cast<const std::byte*>(records.data()),
+                        sizeof(T), records.size());
+}
+
+/// Appends the payload's records to `out`; returns the payload's flag.
+template <typename T>
+bool append_records(const std::vector<std::byte>& payload, std::vector<T>& out) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const RecordSpan span = decode_records(payload, sizeof(T));
+  const std::size_t old = out.size();
+  out.resize(old + span.count);
+  if (span.count > 0) {
+    std::memcpy(out.data() + old, payload.data() + span.offset,
+                span.count * sizeof(T));
+  }
+  return span.flag;
+}
 
 }  // namespace gdsm::dsm::wire

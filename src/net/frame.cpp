@@ -130,7 +130,7 @@ std::optional<Frame> read_frame(int fd) {
   }
   std::uint8_t kind = 0;
   read_exact(fd, reinterpret_cast<std::byte*>(&kind), 1, /*eof_ok=*/false);
-  if (kind > static_cast<std::uint8_t>(FrameKind::kDrained)) {
+  if (kind > static_cast<std::uint8_t>(FrameKind::kResult)) {
     throw std::runtime_error("net::read_frame: unknown frame kind");
   }
   Frame f;

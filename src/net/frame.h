@@ -42,6 +42,8 @@ enum class FrameKind : std::uint8_t {
   kHalt = 4,     ///< supervisor: job over — stop the service loop, send stats
   kDrained = 5,  ///< node process: ack of a kStop drain marker — everything
                  ///< queued before it has been fully handled
+  kResult = 6,   ///< node process: the program's result payload
+                 ///< (Node::set_result), sent right before a success kDone
 };
 
 /// Upper bound on a frame body accepted by decode/read (corruption guard;

@@ -68,7 +68,10 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// the inter-sequence kernel; residency.warm_queries/cold_queries count
 /// only queries that read the subject's DSM pages (wavefront, blocked)
 /// (docs/METRICS.md v13).
-inline constexpr int kSchemaVersion = 13;
+/// v14: cv grants carry the noticed pages homed at the granting manager —
+/// NodeStats gained grant_pages (each also one read_faults) and the "comm"
+/// section gained the grant_pages total (docs/METRICS.md v14).
+inline constexpr int kSchemaVersion = 14;
 
 /// Schema of the merged baseline produced by tools/merge_reports.
 inline constexpr const char* kBaselineSchema = "gdsm.baseline";

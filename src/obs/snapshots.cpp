@@ -65,6 +65,7 @@ Json to_json(const dsm::NodeStats& ns) {
   j.set("twins_created", ns.twins_created);
   j.set("socket_bytes_sent", ns.socket_bytes_sent);
   j.set("socket_bytes_received", ns.socket_bytes_received);
+  j.set("grant_pages", ns.grant_pages);
   return j;
 }
 
@@ -166,6 +167,7 @@ Json comm_stats_json() {
   j.set("bulk_fetches", totals.bulk_fetches);
   j.set("bulk_pages_fetched", totals.bulk_pages_fetched);
   j.set("empty_diffs_suppressed", totals.empty_diffs_suppressed);
+  j.set("grant_pages", totals.grant_pages);
   j.set("round_trips_saved", totals.round_trips_saved());
   return j;
 }

@@ -47,8 +47,8 @@ Json space_usage_json(const dsm::GlobalSpace& space);
 Json kernel_stats_json(bool host_clock);
 
 /// {diff_batches_sent, diff_pages_batched, bulk_fetches, bulk_pages_fetched,
-/// empty_diffs_suppressed, round_trips_saved} — the batched data-plane
-/// totals since process start (dsm::comm_totals()).
+/// empty_diffs_suppressed, grant_pages, round_trips_saved} — the batched
+/// data-plane totals since process start (dsm::comm_totals()).
 Json comm_stats_json();
 
 /// {queries, fragments_scanned, fragments_rejected, fragments_aligned,

@@ -86,7 +86,8 @@ std::string validate_sections(const Json* sections) {
   why = require_numbers(*comm, "sections.comm",
                         {"diff_batches_sent", "diff_pages_batched",
                          "bulk_fetches", "bulk_pages_fetched",
-                         "empty_diffs_suppressed", "round_trips_saved"});
+                         "empty_diffs_suppressed", "grant_pages",
+                         "round_trips_saved"});
   if (!why.empty()) return why;
 
   // db: filtration totals, index opens and shard balance.

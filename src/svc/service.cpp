@@ -378,12 +378,14 @@ void AlignService::execute_one(PendingQuery& q) {
               "service divergence: exact best != serial best-score scan";
         }
       } else {
-        const std::vector<Candidate> ref = heuristic_scan(
+        // The scalar reference, so a fault shared by the serial and the
+        // blocked vector paths still shows as a divergence.
+        const std::vector<Candidate> ref = heuristic_scan_reference(
             q.spec.query, subj->seq, q.spec.scheme, q.spec.params);
         if (ref != out.result.candidates) {
           out.ok = false;
-          out.error =
-              "service divergence: candidate queue != heuristic_scan";
+          out.error = "service divergence: candidate queue != "
+                      "heuristic_scan_reference";
         }
       }
     }

@@ -49,8 +49,8 @@ TEST(ClusterSubmit, AwaitReturnsThatJobsStats) {
     node.barrier();
   });
   const Cluster::Ticket t2 = cluster.submit([](Node& node) { node.barrier(); });
-  const DsmStats s1 = cluster.await(t1);
-  const DsmStats s2 = cluster.await(t2);
+  const DsmStats s1 = cluster.await(t1).stats;
+  const DsmStats s2 = cluster.await(t2).stats;
   ASSERT_EQ(s1.node.size(), 3u);
   ASSERT_EQ(s2.node.size(), 3u);
   // Each job sees only its own activity: both barriered once per node.
@@ -176,8 +176,8 @@ TEST(ClusterSubmit, RetainRangeKeepsPagesWarmAcrossJobs) {
     std::vector<std::byte> got(bytes);
     node.read_bytes(a, got.data(), got.size());
   };
-  const DsmStats cold = cluster.await(cluster.submit(touch_all));
-  const DsmStats warm = cluster.await(cluster.submit(touch_all));
+  const DsmStats cold = cluster.await(cluster.submit(touch_all)).stats;
+  const DsmStats warm = cluster.await(cluster.submit(touch_all)).stats;
   // Cold: every node faults in the pages it is not home for.  Warm: the
   // retained frames survived the end-of-job sweep, so the same reads hit
   // the local page cache instead.
@@ -204,8 +204,8 @@ TEST(ClusterSubmit, WithoutRetainRangePagesGoColdEachJob) {
     std::vector<std::byte> got(bytes);
     node.read_bytes(a, got.data(), got.size());
   };
-  const DsmStats first = cluster.await(cluster.submit(touch_all));
-  const DsmStats second = cluster.await(cluster.submit(touch_all));
+  const DsmStats first = cluster.await(cluster.submit(touch_all)).stats;
+  const DsmStats second = cluster.await(cluster.submit(touch_all)).stats;
   EXPECT_GT(first.total_node().read_faults, 0u);
   EXPECT_EQ(second.total_node().read_faults,
             first.total_node().read_faults);
@@ -230,8 +230,8 @@ TEST(ClusterSubmit, FailedJobColdRestartsRetainedPagesThenRewarms) {
                std::runtime_error);
   // A failed job cold-restarts the caches, but the retained marking stays:
   // the next touch faults the pages back in, the one after runs warm again.
-  const DsmStats rewarm = cluster.await(cluster.submit(touch_all));
-  const DsmStats warm = cluster.await(cluster.submit(touch_all));
+  const DsmStats rewarm = cluster.await(cluster.submit(touch_all)).stats;
+  const DsmStats warm = cluster.await(cluster.submit(touch_all)).stats;
   EXPECT_GT(rewarm.total_node().read_faults, 0u);
   EXPECT_EQ(warm.node[0].read_faults, 0u);
   EXPECT_GT(warm.node[0].cache_hits, 0u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -14,11 +15,11 @@ namespace gdsm::dsm {
 namespace {
 
 /// Reads `n` ints back from shared memory via node 0.  Results a program
-/// wants checked must travel through the global space, not captured host
-/// variables: under the process backend every node but 0 runs in a forked
-/// child whose writes to captures die with it.  Node 0 always runs in the
-/// host address space, so a follow-up job reading on node 0 works on both
-/// backends.
+/// wants checked must travel through the global space or a node result
+/// (Node::set_result), not captured host variables: under the process
+/// backend every node but 0 runs in a forked child whose writes to
+/// captures die with it.  Node 0 always runs in the host address space, so
+/// a follow-up job reading on node 0 works on both backends.
 std::vector<int> read_back(Cluster& cluster, GlobalAddr base, std::size_t n) {
   std::vector<int> out(n, 0);
   cluster.run([&](Node& node) {
@@ -469,6 +470,97 @@ TEST(CommPlane, ReleaseDiffsCoalescePerHome) {
     EXPECT_EQ(writer.diffs_sent, static_cast<std::uint64_t>(kPages));
     EXPECT_GE(writer.round_trips_saved(),
               static_cast<std::uint64_t>(kPages - 1));
+  }
+}
+
+/// Ints back out of a node result payload.
+std::vector<int> as_ints(const std::vector<std::byte>& payload) {
+  std::vector<int> out(payload.size() / sizeof(int));
+  std::memcpy(out.data(), payload.data(), out.size() * sizeof(int));
+  return out;
+}
+
+std::vector<std::byte> as_bytes(const std::vector<int>& v) {
+  const auto* raw = reinterpret_cast<const std::byte*>(v.data());
+  return std::vector<std::byte>(raw, raw + v.size() * sizeof(int));
+}
+
+TEST(CvGrant, WaiterReadsPushedPagesWithoutFetching) {
+  // Node 0 publishes two pages it homes and signals a cv it manages: the
+  // grant carries both pages, so the waiter reads them with no kGetPage(s)
+  // on the wire.  Each installed page still counts one read_faults.
+  for (const Backend backend : testable_backends()) {
+    SCOPED_TRACE(backend_name(backend));
+    DsmConfig cfg;
+    cfg.backend = backend;
+    Cluster cluster(2, cfg);
+    const std::size_t page = cluster.space().page_bytes();
+    const std::size_t n = 2 * page / sizeof(int);
+    const GlobalAddr arr = cluster.alloc(2 * page, /*home=*/0);
+    const Cluster::JobResult job =
+        cluster.await(cluster.submit([&](Node& node) {
+          std::vector<int> v(n);
+          if (node.id() == 0) {
+            std::iota(v.begin(), v.end(), 7);
+            node.write_bytes(arr, reinterpret_cast<const std::byte*>(v.data()),
+                             v.size() * sizeof(int));
+            node.setcv(0);
+          } else {
+            node.waitcv(0);
+            node.read_bytes(arr, reinterpret_cast<std::byte*>(v.data()),
+                            v.size() * sizeof(int));
+            node.set_result(as_bytes(v));
+          }
+        }));
+    std::vector<int> want(n);
+    std::iota(want.begin(), want.end(), 7);
+    EXPECT_EQ(as_ints(job.results[1]), want);
+    const NodeStats& waiter = job.stats.node[1];
+    EXPECT_EQ(waiter.grant_pages, 2u);
+    EXPECT_EQ(waiter.read_faults, 2u);
+    EXPECT_EQ(waiter.bulk_fetches, 0u);
+    EXPECT_EQ(waiter.cache_hits, 2u);
+    const net::TrafficCounters& sent = job.stats.traffic[1];
+    EXPECT_EQ(sent.messages[static_cast<std::size_t>(net::MsgType::kGetPage)],
+              0u);
+    EXPECT_EQ(sent.messages[static_cast<std::size_t>(net::MsgType::kGetPages)],
+              0u);
+  }
+}
+
+TEST(CvGrant, ConcurrentWritersDirtyCopyIsFlushedNotOverwritten) {
+  // The waiter holds a dirty copy of the noticed page (it wrote word 0)
+  // while node 0 writes word 1 at home and signals.  The grant carries the
+  // page, but installing it would lose word 0: the dirty copy is flushed
+  // home and dropped instead, and the next read fetches both writes.
+  for (const Backend backend : testable_backends()) {
+    SCOPED_TRACE(backend_name(backend));
+    DsmConfig cfg;
+    cfg.backend = backend;
+    Cluster cluster(2, cfg);
+    const GlobalAddr x = cluster.alloc(2 * sizeof(int), /*home=*/0);
+    const Cluster::JobResult job =
+        cluster.await(cluster.submit([&](Node& node) {
+          if (node.id() == 0) {
+            node.write<int>(x + sizeof(int), 22);
+            node.setcv(0);
+            node.barrier();
+            node.set_result(as_bytes({node.read<int>(x)}));
+          } else {
+            node.write<int>(x, 11);
+            node.waitcv(0);
+            node.set_result(
+                as_bytes({node.read<int>(x), node.read<int>(x + sizeof(int))}));
+            node.barrier();
+          }
+        }));
+    EXPECT_EQ(as_ints(job.results[1]), (std::vector<int>{11, 22}));
+    EXPECT_EQ(as_ints(job.results[0]), std::vector<int>{11});  // at home
+    const NodeStats& waiter = job.stats.node[1];
+    EXPECT_EQ(waiter.grant_pages, 0u);  // the carried copy was discarded
+    EXPECT_EQ(waiter.diffs_sent, 1u);
+    EXPECT_GE(waiter.invalidations, 1u);
+    EXPECT_EQ(waiter.read_faults, 2u);  // the write fault, then the re-read
   }
 }
 

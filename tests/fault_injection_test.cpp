@@ -293,10 +293,13 @@ TEST(FaultInjectionTest, OracleMatchesUnderEveryPlan) {
 }
 
 TEST(FaultInjectionTest, LateRepliesAreDroppedAsStaleOnBothBackends) {
-  // Replies delayed past a short timeout: the page fetch or diff is resent,
-  // and whichever reply of the pair comes second must be counted as stale
-  // and dropped, never matched to a later request.  The blocked strategy
-  // still reproduces serial heuristic_scan on either backend.
+  // Replies delayed past a short timeout: the page fetch is resent, and
+  // whichever reply of the pair comes second must be counted as stale and
+  // dropped, never matched to a later request.  The blocked strategy still
+  // reproduces serial heuristic_scan on either backend.  Its boundary pages
+  // ride the cv grants, so the fetches here are of the subject, kept in
+  // global memory as the service does but not retained: every query
+  // faults it in cold.
   testing::OracleCase c;
   c.seed = 41;
   c.length_s = c.length_t = 256;
@@ -306,20 +309,33 @@ TEST(FaultInjectionTest, LateRepliesAreDroppedAsStaleOnBothBackends) {
       heuristic_scan(pair.s, pair.t, c.scheme, c.params);
   for (const dsm::Backend backend : dsm::testable_backends()) {
     SCOPED_TRACE(dsm::backend_name(backend));
+    dsm::DsmConfig dsm_cfg;
+    dsm_cfg.backend = backend;
+    dsm_cfg.retry.timeout_us = 100;
+    dsm_cfg.retry.max_retries = 3;
+    dsm_cfg.retry.backoff_us = 50;
+    dsm_cfg.faults.seed = 7;
+    dsm_cfg.faults.delay_rate = 0.5;
+    dsm_cfg.faults.delay_max_us = 1500;
+    dsm::Cluster cluster(2, dsm_cfg);
+    const std::size_t bytes = pair.t.size() * sizeof(Base);
+    const dsm::GlobalAddr t_addr = cluster.alloc(bytes, /*home=*/0);
+    cluster.host_write(t_addr, pair.t.data(), bytes);
+
     core::BlockedConfig cfg;
     cfg.nprocs = 2;
     cfg.scheme = c.scheme;
     cfg.params = c.params;
-    cfg.dsm.backend = backend;
-    cfg.dsm.retry.timeout_us = 100;
-    cfg.dsm.retry.max_retries = 3;
-    cfg.dsm.retry.backoff_us = 50;
-    cfg.dsm.faults.seed = 7;
-    cfg.dsm.faults.delay_rate = 0.5;
-    cfg.dsm.faults.delay_max_us = 1500;
-    const core::StrategyResult r = core::blocked_align(pair.s, pair.t, cfg);
-    EXPECT_EQ(r.candidates, reference);
-    const dsm::NodeStats totals = r.dsm_stats.total_node();
+    cfg.cluster = &cluster;
+    cfg.resident_t_addr = t_addr;
+    cfg.resident_t_size = pair.t.size();
+    dsm::NodeStats totals;
+    for (int query = 0; query < 16; ++query) {
+      const core::StrategyResult r = core::blocked_align(pair.s, pair.t, cfg);
+      EXPECT_EQ(r.candidates, reference);
+      totals += r.dsm_stats.total_node();
+    }
+    EXPECT_GT(totals.grant_pages, 0u);
     EXPECT_GT(totals.request_retries, 0u);
     EXPECT_GT(totals.stale_replies, 0u);
   }

@@ -182,7 +182,7 @@ TEST(ValidateReportTest, AcceptsSupportedVersionsOnly) {
   // to_json() auto-attaches every section, so a freshly emitted report is
   // valid at the current schema out of the box.
   Json doc = report.to_json();
-  ASSERT_EQ(doc.at("schema_version").as_int(), 13);
+  ASSERT_EQ(doc.at("schema_version").as_int(), 14);
   EXPECT_EQ(validate_run_report(doc), "");
   for (int v = 1; v <= kSchemaVersion + 1; ++v) {
     if (v == kSchemaVersion) continue;
@@ -387,6 +387,27 @@ TEST(ValidateReportTest, RejectsV13ReportMissingBatchCounters) {
   }
 }
 
+// v14: cv grants carry pages; the comm section names how many were
+// installed, and a document without that total must be rejected by name.
+TEST(ValidateReportTest, RejectsV14ReportMissingGrantPages) {
+  RunReport report("validate_unit_v14", "v14 comm regression");
+  Json row = Json::object();
+  row.set("x", 1);
+  report.add_row("points", std::move(row));
+  const Json good = report.to_json();
+  ASSERT_GE(good.at("schema_version").as_int(), 14);
+  ASSERT_EQ(validate_run_report(good), "");
+
+  const Json& sections = good.at("sections");
+  EXPECT_TRUE(sections.at("comm").has("grant_pages"));
+  Json doc = good;
+  Json s = without_member(sections, "comm");
+  s.set("comm", without_member(sections.at("comm"), "grant_pages"));
+  doc.set("sections", std::move(s));
+  const std::string why = validate_run_report(doc);
+  EXPECT_NE(why.find("grant_pages"), std::string::npos) << why;
+}
+
 TEST(SnapshotsTest, DsmStatsFromRealClusterRun) {
   dsm::Cluster cluster(2);
   const dsm::GlobalAddr arr = cluster.alloc(16 * 1024, 0);
@@ -424,7 +445,7 @@ TEST(SnapshotsTest, DsmStatsFromRealClusterRun) {
         "diff_pages_batched", "bulk_fetches", "bulk_pages_fetched",
         "empty_diffs_suppressed", "peer_failures", "segv_faults",
         "pages_mapped", "pages_protected", "twins_created",
-        "socket_bytes_sent", "socket_bytes_received"}) {
+        "socket_bytes_sent", "socket_bytes_received", "grant_pages"}) {
     EXPECT_TRUE(back.at("nodes").items()[0].has(key)) << key;
   }
   // v8: the stats snapshot names the backend that ran the job.

@@ -38,14 +38,11 @@ core::StrategyResult faulted_blocked_run() {
   return core::blocked_align(pair.s, pair.t, cfg);
 }
 
-TEST(ReportIoTest, SchemaVersionIsBumpedToThirteen) {
-  // v13 deletes the seed-and-extend cascade: the db section lost its
-  // "cascade" funnel (its dp_confirmed is db.hits) and the service's
-  // fragments_resolved, the kernel section gained the batch kernel's
-  // counters, and residency counts only queries that read the subject's
-  // DSM pages.  The tools accept the current version only
-  // (docs/METRICS.md v13).
-  EXPECT_EQ(obs::kSchemaVersion, 13);
+TEST(ReportIoTest, SchemaVersionIsBumpedToFourteen) {
+  // v14: cv grants carry the noticed pages homed at the granting manager;
+  // NodeStats and the comm section gained grant_pages.  The tools accept
+  // the current version only (docs/METRICS.md v14).
+  EXPECT_EQ(obs::kSchemaVersion, 14);
 }
 
 TEST(ReportIoTest, NodeStatsJsonCarriesRetryCounters) {
@@ -130,6 +127,7 @@ TEST(ReportIoTest, RunReportRoundTripsThroughDiskAtVersionTwo) {
   // totals; since v11 there is one plane, so no mode is named.
   const Json& comm = doc.at("sections").at("comm");
   EXPECT_FALSE(comm.has("mode"));
+  EXPECT_TRUE(comm.has("grant_pages"));
   EXPECT_TRUE(comm.has("round_trips_saved"));
   EXPECT_TRUE(comm.has("empty_diffs_suppressed"));
   // v11: the index-open count sits in the db totals; v13: the cascade

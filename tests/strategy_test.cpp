@@ -3,6 +3,9 @@
 // WHAT is computed.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "backends.h"
 #include "core/blocked.h"
 #include "core/wavefront.h"
 #include "simd/dispatch.h"
@@ -152,8 +155,11 @@ TEST(StrategyStats, WavefrontUsesCvProtocol) {
   // One data_ready signal per interior border per row, plus slot-free acks.
   EXPECT_GE(total.cv_signals, 2 * 3 * 400u - 8u);
   EXPECT_GE(total.cv_waits, 2 * 3 * 400u - 8u);
-  EXPECT_EQ(total.barriers, 8u);  // 2 barriers x 4 nodes
+  // One start barrier x 4 nodes: the queues ride the end-of-job messages.
+  EXPECT_EQ(total.barriers, 4u);
   EXPECT_GT(total.invalidations, 0u);
+  // Every border cell the reader waits for arrives with its cv grant.
+  EXPECT_GE(total.grant_pages, 3 * 400u - 3u);
 }
 
 TEST(StrategyStats, BlockingReducesSignalTraffic) {
@@ -227,6 +233,32 @@ TEST(BlockedOverflow, TruncationIsKernelIndependent) {
   if (!avx2) GTEST_SKIP() << "no AVX2 backend on this build/host";
   EXPECT_TRUE(vector.overflow);
   EXPECT_EQ(vector.candidates, scalar.candidates);
+}
+
+TEST(NodeResults, ChildOverflowReachesTheSubmitter) {
+  // Band 0 (node 0) reads poly-N rows that score nothing; band 1 (node 1,
+  // a forked child on the process backend) holds the homology.  Only node
+  // 1 can overflow, so the overflow bit must ride its node result back.
+  const HomologousPair pair = make_pair(300, 88);
+  const Sequence s("s", std::string(300, 'N') + pair.s.text());
+  for (const dsm::Backend backend : dsm::testable_backends()) {
+    SCOPED_TRACE(dsm::backend_name(backend));
+    BlockedConfig cfg;
+    cfg.nprocs = 2;
+    cfg.bands = 2;
+    cfg.blocks = 4;
+    cfg.dsm.backend = backend;
+    const StrategyResult full = blocked_align(s, pair.t, cfg);
+    EXPECT_FALSE(full.overflow);
+    EXPECT_EQ(full.candidates, heuristic_scan_reference(s, pair.t));
+    ASSERT_GT(full.candidates.size(), 1u);
+
+    cfg.max_candidates_per_node = 1;
+    const StrategyResult capped = blocked_align(s, pair.t, cfg);
+    EXPECT_TRUE(capped.overflow);
+    ASSERT_EQ(capped.candidates.size(), 1u);
+    EXPECT_EQ(capped.candidates.front(), full.candidates.front());
+  }
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <cstring>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -130,6 +132,196 @@ TEST(WireMessage, RoundTripsDiffBatchAndPagesDataPayloads) {
   EXPECT_EQ(pd[1].page, 6u);
 }
 
+TEST(WireMessage, RoundTripsCvGrantWithCarriedPages) {
+  std::mt19937 rng(13);
+  const std::size_t page_bytes = 512;
+  const std::vector<dsm::PageId> notices = {4, 9, 17};
+  const std::vector<std::byte> page9 = random_payload(rng, page_bytes);
+  const std::vector<std::byte> page17 = random_payload(rng, page_bytes);
+
+  Message grant = random_message(rng, MsgType::kCvGrant, 0);
+  dsm::wire::begin_cv_grant(grant.payload, notices);
+  dsm::wire::append_page_data(grant.payload, 9, page9.data(), page_bytes);
+  dsm::wire::append_page_data(grant.payload, 17, page17.data(), page_bytes);
+  const Message back = decode_message(encode_message(grant));
+  expect_equal(back, grant);
+
+  const dsm::wire::CvGrant decoded =
+      dsm::wire::decode_cv_grant(back.payload, page_bytes);
+  EXPECT_EQ(decoded.notices, notices);
+  ASSERT_EQ(decoded.pages.size(), 2u);
+  EXPECT_EQ(decoded.pages[0].page, 9u);
+  EXPECT_EQ(decoded.pages[1].page, 17u);
+  const auto at = [&](std::size_t off) {
+    return std::vector<std::byte>(
+        back.payload.begin() + static_cast<std::ptrdiff_t>(off),
+        back.payload.begin() + static_cast<std::ptrdiff_t>(off + page_bytes));
+  };
+  EXPECT_EQ(at(decoded.pages[0].offset), page9);
+  EXPECT_EQ(at(decoded.pages[1].offset), page17);
+
+  // A grant with notices only (no page homed at the manager) still decodes.
+  std::vector<std::byte> bare;
+  dsm::wire::begin_cv_grant(bare, notices);
+  EXPECT_EQ(dsm::wire::decode_cv_grant(bare, page_bytes).notices, notices);
+  EXPECT_TRUE(dsm::wire::decode_cv_grant(bare, page_bytes).pages.empty());
+}
+
+TEST(WireMessage, RoundTripsNodeResultFrame) {
+  // A node result (Node::set_result) crosses the process boundary as a
+  // kResult frame ahead of kDone; the strategies' payload is the record
+  // codec: flag byte, count, fixed-size records.
+  struct Rec {
+    std::int32_t a;
+    std::uint32_t b;
+  };
+  const std::vector<Rec> recs = {{-1, 2}, {3, 4}, {5, 6}};
+  const std::vector<std::byte> body =
+      dsm::wire::encode_records(true, std::span<const Rec>(recs));
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  write_frame(fds[0], FrameKind::kResult, body.data(), body.size());
+  write_frame(fds[0], FrameKind::kResult, nullptr, 0);  // no result set
+  const auto f = read_frame(fds[1]);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->kind, FrameKind::kResult);
+  EXPECT_EQ(f->body, body);
+  const auto empty = read_frame(fds[1]);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->kind, FrameKind::kResult);
+  EXPECT_TRUE(empty->body.empty());
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  std::vector<Rec> out = {{9, 9}};
+  EXPECT_TRUE(dsm::wire::append_records(f->body, out));
+  ASSERT_EQ(out.size(), 4u);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(out[i + 1].a, recs[i].a);
+    EXPECT_EQ(out[i + 1].b, recs[i].b);
+  }
+  const std::vector<std::byte> none =
+      dsm::wire::encode_records(false, std::span<const Rec>());
+  EXPECT_FALSE(dsm::wire::append_records(none, out));
+  EXPECT_EQ(out.size(), 4u);
+}
+
+TEST(WireMessage, TruncatedOrMalformedPayloadsThrowTypedErrors) {
+  // Every protocol payload decoder ends a bad body in std::runtime_error:
+  // each truncation of a valid body, and a fuzzed corruption of its length
+  // fields, must throw or decode within bounds — never read past the end.
+  std::mt19937 rng(29);
+  const std::size_t page_bytes = 64;
+
+  std::vector<std::byte> grant;
+  dsm::wire::begin_cv_grant(grant, {1, 2});
+  dsm::wire::append_page_data(grant, 2, random_payload(rng, page_bytes).data(),
+                              page_bytes);
+  struct Rec {
+    std::uint64_t v;
+  };
+  const std::vector<Rec> recs = {{1}, {2}};
+  const std::vector<std::byte> result =
+      dsm::wire::encode_records(false, std::span<const Rec>(recs));
+  const std::vector<std::byte> barrier =
+      dsm::wire::encode_barrier_grant({{5, 6}, {{5, 1}}});
+  const std::vector<std::byte> notices = dsm::wire::encode_pages({3, 4});
+
+  const auto decode_all = [&](const std::vector<std::byte>& grant_body,
+                              const std::vector<std::byte>& result_body,
+                              const std::vector<std::byte>& barrier_body,
+                              const std::vector<std::byte>& notice_body) {
+    int thrown = 0;
+    try {
+      (void)dsm::wire::decode_cv_grant(grant_body, page_bytes);
+    } catch (const std::runtime_error&) {
+      ++thrown;
+    }
+    try {
+      std::vector<Rec> out;
+      (void)dsm::wire::append_records(result_body, out);
+    } catch (const std::runtime_error&) {
+      ++thrown;
+    }
+    try {
+      (void)dsm::wire::decode_barrier_grant(barrier_body);
+    } catch (const std::runtime_error&) {
+      ++thrown;
+    }
+    try {
+      (void)dsm::wire::decode_pages(notice_body);
+    } catch (const std::runtime_error&) {
+      ++thrown;
+    }
+    return thrown;
+  };
+  EXPECT_EQ(decode_all(grant, result, barrier, notices), 0);
+
+  // Every strict prefix of each body is rejected, bar the one prefix of the
+  // grant that is itself a whole grant.
+  const auto cut = [](const std::vector<std::byte>& v, std::size_t n) {
+    return std::vector<std::byte>(v.begin(),
+                                  v.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  const std::size_t notices_only =
+      sizeof(std::uint64_t) + 2 * sizeof(dsm::PageId);
+  for (std::size_t n = 0; n < grant.size(); ++n) {
+    if (n == notices_only) continue;  // a whole grant carrying no page
+    EXPECT_THROW((void)dsm::wire::decode_cv_grant(cut(grant, n), page_bytes),
+                 std::runtime_error)
+        << n;
+  }
+  for (std::size_t n = 0; n < result.size(); ++n) {
+    std::vector<Rec> out;
+    EXPECT_THROW((void)dsm::wire::append_records(cut(result, n), out),
+                 std::runtime_error)
+        << n;
+  }
+  for (std::size_t n = 0; n < barrier.size(); ++n) {
+    EXPECT_THROW((void)dsm::wire::decode_barrier_grant(cut(barrier, n)),
+                 std::runtime_error)
+        << n;
+  }
+  EXPECT_THROW((void)dsm::wire::decode_pages(cut(notices, 5)),
+               std::runtime_error);
+
+  // Huge counts (overflowing count * size), a bad flag byte and trailing
+  // bytes are rejected too.
+  std::vector<std::byte> huge = grant;
+  const std::uint64_t big = ~std::uint64_t{0} / 4;
+  std::memcpy(huge.data(), &big, sizeof(big));
+  EXPECT_THROW((void)dsm::wire::decode_cv_grant(huge, page_bytes),
+               std::runtime_error);
+  std::vector<std::byte> huge_result = result;
+  std::memcpy(huge_result.data() + 1, &big, sizeof(big));
+  std::vector<Rec> sink;
+  EXPECT_THROW((void)dsm::wire::append_records(huge_result, sink),
+               std::runtime_error);
+  std::vector<std::byte> bad_flag = result;
+  bad_flag[0] = std::byte{7};
+  EXPECT_THROW((void)dsm::wire::append_records(bad_flag, sink),
+               std::runtime_error);
+  std::vector<std::byte> trailing = result;
+  trailing.push_back(std::byte{0});
+  EXPECT_THROW((void)dsm::wire::append_records(trailing, sink),
+               std::runtime_error);
+  std::vector<std::byte> trailing_barrier = barrier;
+  trailing_barrier.push_back(std::byte{0});
+  EXPECT_THROW((void)dsm::wire::decode_barrier_grant(trailing_barrier),
+               std::runtime_error);
+
+  // Random byte corruption: decoding may succeed or throw, never crash.
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::byte> g = grant, r = result, b = barrier, p = notices;
+    for (std::vector<std::byte>* v : {&g, &r, &b, &p}) {
+      std::uniform_int_distribution<std::size_t> at(0, v->size() - 1);
+      (*v)[at(rng)] = static_cast<std::byte>(rng() & 0xFF);
+    }
+    (void)decode_all(g, r, b, p);
+  }
+}
+
 TEST(WireMessage, RejectsMalformedBodies) {
   std::mt19937 rng(3);
   const Message m = random_message(rng, MsgType::kPageData, 32);
@@ -155,7 +347,8 @@ TEST(WireFrame, RoundTripsEveryKindOverSocketpair) {
 
   for (const FrameKind kind :
        {FrameKind::kMessage, FrameKind::kDone, FrameKind::kStats,
-        FrameKind::kAbort, FrameKind::kHalt, FrameKind::kDrained}) {
+        FrameKind::kAbort, FrameKind::kHalt, FrameKind::kDrained,
+        FrameKind::kResult}) {
     const std::vector<std::byte> body =
         random_payload(rng, kind == FrameKind::kHalt ? 0 : 777);
     write_frame(fds[0], kind, body.data(), body.size());

@@ -17,13 +17,15 @@
 #                                 default striped-avx2; docs/KERNELS.md)
 #   5. affine dispatch         -- oracle-verified --gap=affine service run
 #                                 once per backend (docs/ALGORITHMS.md)
-#   6. DSM flake gate          -- the DSM protocol suites repeated 10x
-#                                 pinned to one CPU, on both backends
+#   6. DSM flake gate          -- the DSM protocol suites, and the
+#                                 strategy and db suites that hand their
+#                                 answers back as node results, repeated
+#                                 10x pinned to one CPU, on both backends
 #                                 (GDSM_BACKEND=threads|process), so an
 #                                 interleaving-dependent failure shows up
-#   7. proc_smoke              -- the DSM/strategy/oracle/db suites re-run
-#                                 with the protocol hosted in real OS
-#                                 processes (GDSM_BACKEND=process: shm
+#   7. proc_smoke              -- the DSM/strategy/oracle/db/preprocess
+#                                 suites re-run with the protocol hosted
+#                                 in real OS processes (GDSM_BACKEND=process: shm
 #                                 segments, SIGSEGV fetch-on-fault, socket
 #                                 transport), plus a fault-plan fuzz sweep,
 #                                 a db fuzz sweep and an oracle-verified
@@ -145,7 +147,7 @@ done
 for backend in threads process; do
   echo "==> DSM flake gate (GDSM_BACKEND=$backend, taskset -c 0, x10)"
   for t in dsm_test dsm_stress_test fault_injection_test \
-           cluster_submit_test proc_test; do
+           cluster_submit_test proc_test strategy_test db_test; do
     GDSM_BACKEND="$backend" taskset -c 0 "build/tests/$t" \
       --gtest_repeat=10 --gtest_brief=1
   done
@@ -163,7 +165,7 @@ echo "==> proc_smoke (GDSM_BACKEND=process)"
 PROC_ASAN="handle_segv=0:allow_user_segv_handler=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
 for t in proc_test dsm_test dsm_stress_test fault_injection_test \
          differential_oracle_test cluster_submit_test strategy_test svc_test \
-         db_test db_scan_test; do
+         db_test db_scan_test preprocess_test; do
   echo "---- $t (process backend)"
   GDSM_BACKEND=process ASAN_OPTIONS="$PROC_ASAN" \
     "build/tests/$t" --gtest_brief=1

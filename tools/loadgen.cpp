@@ -7,8 +7,8 @@
 // try_push rejects with backpressure instead of the generator slowing down.
 //
 // Every completed query is verified against its single-query serial
-// reference (heuristic_scan / sw_best_score_linear) computed independently
-// here; any mismatch fails the run.  `--report=<path>` writes a
+// reference (heuristic_scan_reference / sw_best_score_linear) computed
+// independently here; any mismatch fails the run.  `--report=<path>` writes a
 // gdsm.run_report v3 document with throughput, latency and the full
 // "service" section.
 //
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
         std::cout << "loadgen: ORACLE MISMATCH (exact) on query "
                   << out.result.id << "\n";
       }
-    } else if (gdsm::heuristic_scan(f.query, subject, f.scheme) !=
+    } else if (gdsm::heuristic_scan_reference(f.query, subject, f.scheme) !=
                out.result.candidates) {
       ++mismatches;
       std::cout << "loadgen: ORACLE MISMATCH (candidates) on query "
