@@ -12,7 +12,6 @@
 
 #include "core/phase2.h"
 #include "sw/heuristic_scan.h"
-#include "sw/protein.h"
 #include "sw/reverse_rebuild.h"
 #include "viz/dotplot.h"
 
@@ -54,15 +53,6 @@ int main() {
             << "):\n";
   const auto lines = exact.alignment.render(s, t);
   std::cout << "  " << lines[0] << "\n  " << lines[1] << "\n  " << lines[2]
-            << "\n\n";
-
-  // Bonus: the same machinery aligns proteins (BLOSUM62 + affine gaps).
-  const ProteinSequence pa("pa", "MKTAYIAKQRQISFVKSHFSRQLEERLGLIE");
-  const ProteinSequence pb("pb", "MKTAYIAKQRQISFVKSHFSRQEERLGLIE");
-  const Alignment pal = protein_smith_waterman(pa, pb);
-  const auto plines = render_protein_alignment(pal, pa, pb);
-  std::cout << "Protein local alignment (BLOSUM62), score " << pal.score
-            << ":\n  " << plines[0] << "\n  " << plines[1] << "\n  "
-            << plines[2] << "\n";
+            << "\n";
   return 0;
 }

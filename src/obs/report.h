@@ -71,7 +71,10 @@ inline constexpr const char* kReportSchema = "gdsm.run_report";
 /// v14: cv grants carry the noticed pages homed at the granting manager —
 /// NodeStats gained grant_pages (each also one read_faults) and the "comm"
 /// section gained the grant_pages total (docs/METRICS.md v14).
-inline constexpr int kSchemaVersion = 14;
+/// v15: the service runs no wavefront — "dispatch_by_strategy" lost its
+/// "wavefront" key and residency counts blocked queries only
+/// (docs/METRICS.md v15).
+inline constexpr int kSchemaVersion = 15;
 
 /// Schema of the merged baseline produced by tools/merge_reports.
 inline constexpr const char* kBaselineSchema = "gdsm.baseline";

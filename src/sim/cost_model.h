@@ -33,10 +33,6 @@ struct CostModel {
   double dsm_write_factor = 0.55;  ///< extra per-cell cost when the two rows
                                    ///< live in shared (DSM-checked) memory,
                                    ///< as in the non-blocked strategy
-  /// Heuristic cell under affine (Gotoh) gaps over the linear one: the E/F
-  /// companions add two running maxima, but the candidate bookkeeping
-  /// dominates, so the surcharge is small.
-  double affine_cell_factor_heuristic = 1.2;
 
   // -- network: 100 Mbps switched Ethernet + UDP + SIGIO ----------------
   double msg_latency_s = 300e-6;   ///< one-way wire+stack latency
@@ -54,11 +50,6 @@ struct CostModel {
   // -- fixed phases ------------------------------------------------------
   double init_time_s = 8.0;  ///< DSM startup ("ran under 10 s for all tests")
   double term_time_s = 4.0;  ///< final synchronization ("most under 7 s")
-
-  /// Wire time of one message with `payload` bytes (headers included).
-  double message_time(std::size_t payload) const {
-    return msg_latency_s + (payload + msg_header_bytes) * wire_s_per_byte;
-  }
 
   /// Effective per-cell cost given the strategy's base cost and the working
   /// set a node streams over per row (two linear arrays of `row_bytes`).

@@ -24,21 +24,29 @@
 
 namespace gdsm::svc {
 
-/// How a query is executed.  kAuto lets the scheduler pick among the three
-/// heuristic strategies with the calibrated cost model; the exact strategy
-/// is never auto-picked (its result type differs).
+/// How a query is executed.  A kAuto subject query runs kBlockedMp and a
+/// kAuto database query runs kDbScan (AlignService::execute_one); the
+/// other kinds force a strategy.
 enum class StrategyKind : int {
   kAuto = 0,
-  kWavefront,   ///< Strategy 1: per-cell border handshake over DSM
   kBlocked,     ///< Strategy 2: bands x blocks over DSM
   kBlockedMp,   ///< Strategy 2 on message passing (no DSM, no residency)
   kExact,       ///< Section 6 exact alignment (message passing)
   kDbScan,      ///< filtered scan of a sharded multi-sequence database
 };
 
-constexpr int kNumStrategies = 6;
+constexpr int kNumStrategies = 5;
 
-const char* strategy_name(StrategyKind k) noexcept;
+constexpr const char* strategy_name(StrategyKind k) noexcept {
+  switch (k) {
+    case StrategyKind::kAuto: return "auto";
+    case StrategyKind::kBlocked: return "blocked";
+    case StrategyKind::kBlockedMp: return "blocked_mp";
+    case StrategyKind::kExact: return "exact";
+    case StrategyKind::kDbScan: return "db_scan";
+  }
+  return "?";
+}
 
 struct QuerySpec {
   std::string subject;  ///< name of a subject loaded with load_subject()
@@ -53,8 +61,8 @@ struct QuerySpec {
   StrategyKind strategy = StrategyKind::kAuto;
   /// Scoring, including the gap model: scheme.gap_open == 0 is the paper's
   /// linear model; gap_open != 0 selects affine (Gotoh) gaps end-to-end —
-  /// the scheduler prices it, the strategies dispatch the affine kernels,
-  /// and verify mode checks against the serial affine references.
+  /// the strategies dispatch the affine kernels, and verify mode checks
+  /// against the serial affine references.
   ScoreScheme scheme{};
   HeuristicParams params{};
   /// Seconds from admission after which the query is rejected instead of
@@ -76,9 +84,9 @@ struct QueryResult {
   std::size_t db_fragments_rejected = 0;  ///< db scan: pruned before DP
   std::size_t db_fragments_aligned = 0;   ///< db scan: filtration survivors
   bool overflow = false;
-  /// The strategy read the resident subject's DSM pages (wavefront,
-  /// blocked) and found them cached from an earlier query.  False for
-  /// blocked_mp, exact and db scans, which read no DSM page of the subject.
+  /// The strategy read the resident subject's DSM pages (blocked only) and
+  /// found them cached from an earlier query.  False for blocked_mp, exact
+  /// and db scans, which read no DSM page of the subject.
   bool warm = false;
   /// Always 1: every query is its own dispatch.  Kept only because the
   /// serving benchmark's svc.batch_size_mean reads it; both go together.

@@ -7,7 +7,6 @@
 #include "core/blocked.h"
 #include "core/blocked_mp.h"
 #include "core/exact_parallel.h"
-#include "core/wavefront.h"
 #include "db/meter.h"
 #include "simd/dispatch.h"
 #include "sw/affine.h"
@@ -33,19 +32,14 @@ ServiceConfig AlignService::normalize(ServiceConfig cfg) {
 
 dsm::DsmConfig AlignService::cluster_config() const {
   dsm::DsmConfig d = cfg_.dsm;
-  // Wavefront needs 2P+2 cvs, blocked needs bands+1 = mult_h*P + 1; size
-  // the shared pool once for whichever strategy any query may pick.
-  const int p = cfg_.nprocs;
-  const int need = std::max(2 * p + 2,
-                            static_cast<int>(cfg_.mult_h) * p + 1);
-  d.n_cvs = std::max(d.n_cvs, need);
+  // Blocked needs bands + 1 = mult_h * P + 1 cvs.
+  d.n_cvs = std::max(d.n_cvs, static_cast<int>(cfg_.mult_h) * cfg_.nprocs + 1);
   return d;
 }
 
 AlignService::AlignService(ServiceConfig cfg)
     : cfg_(normalize(std::move(cfg))),
       cluster_(cfg_.nprocs, cluster_config()),
-      scheduler_(cfg_.cost, cfg_.nprocs, cfg_.mult_w, cfg_.mult_h),
       queue_(cfg_.queue_capacity) {
   stats_.kernel_backend = simd::active_backend_name();
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
@@ -256,12 +250,7 @@ void AlignService::execute_one(PendingQuery& q) {
       }
     }
   } else if (subj != nullptr) {
-    if (chosen == StrategyKind::kAuto) {
-      chosen = scheduler_
-                   .choose({q.spec.query.size(), subj->seq.size(), warm,
-                            q.spec.scheme.affine()})
-                   .strategy;
-    }
+    if (chosen == StrategyKind::kAuto) chosen = StrategyKind::kBlockedMp;
     out.result.strategy = chosen;
     try {
       if (q.spec.inject_failure_node >= 0) {
@@ -275,25 +264,6 @@ void AlignService::execute_one(PendingQuery& q) {
         out.error = "injected query failure";
       } else {
         switch (chosen) {
-          case StrategyKind::kWavefront: {
-            core::WavefrontConfig wc;
-            wc.nprocs = cfg_.nprocs;
-            wc.scheme = q.spec.scheme;
-            wc.params = q.spec.params;
-            wc.cluster = &cluster_;
-            wc.resident_t_addr = subj->addr;
-            wc.resident_t_size = subj->seq.size();
-            resident_used = true;
-            core::StrategyResult r =
-                core::wavefront_align(q.spec.query, subj->seq, wc);
-            out.result.candidates = std::move(r.candidates);
-            out.result.overflow = r.overflow;
-            const dsm::NodeStats tot = r.dsm_stats.total_node();
-            out.result.cache_hits = tot.cache_hits;
-            out.result.read_faults = tot.read_faults;
-            out.ok = true;
-            break;
-          }
           case StrategyKind::kBlocked: {
             core::BlockedConfig bc;
             bc.nprocs = cfg_.nprocs;
@@ -408,9 +378,9 @@ void AlignService::execute_one(PendingQuery& q) {
         ++stats_.linear_queries;
       }
       if (resident_used) {
-        // Only wavefront and blocked read the subject's DSM pages: they
-        // count as warm or cold, and pull the pages into the node caches,
-        // so the next such query on the subject runs warm.
+        // Only blocked reads the subject's DSM pages: it counts as warm or
+        // cold, and pulls the pages into the node caches, so the next
+        // blocked query on the subject runs warm.
         ++(warm ? stats_.warm_queries : stats_.cold_queries);
         subjects_.at(q.spec.subject).warm = true;
       }

@@ -1,13 +1,14 @@
-// The multi-query alignment service: admission and a strategy-aware
-// scheduler over one persistent DSM cluster.
+// The multi-query alignment service: admission and dispatch over one
+// persistent DSM cluster.
 //
 // The paper runs one alignment per cluster boot.  This subsystem turns the
 // reproduction into a long-lived service: subject genomes are loaded into
 // DSM global memory once (host_write + retain_range keeps their pages warm
 // across jobs), queries are admitted through a bounded queue with
 // backpressure and per-query deadlines, and a worker pool dispatches each
-// one as its own cluster job, in admission order, picking the cheapest
-// strategy per query with the calibrated cost model.  A failed query
+// one as its own job, in admission order.  A kAuto subject query runs the
+// blocked strategy on message passing (blocked_mp), the measured fastest;
+// the other strategies run only when a query names them.  A failed query
 // (node-program exception) is absorbed by the cluster's recovery path and
 // does not poison the pool for its neighbours.
 #pragma once
@@ -23,10 +24,8 @@
 #include "db/db_align.h"
 #include "db/subject_db.h"
 #include "dsm/cluster.h"
-#include "sim/cost_model.h"
 #include "svc/query.h"
 #include "svc/queue.h"
-#include "svc/scheduler.h"
 #include "svc/stats.h"
 
 namespace gdsm::svc {
@@ -36,12 +35,11 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64; ///< admission bound (backpressure)
   int workers = 2;                 ///< dispatcher threads
   /// Blocked decomposition for service dispatches (bands = mult_h * P,
-  /// blocks = mult_w * P); also prices the scheduler's estimates.
+  /// blocks = mult_w * P).
   std::size_t mult_w = 2;
   std::size_t mult_h = 2;
   dsm::DsmConfig dsm{};     ///< persistent cluster config (n_cvs is raised
-                            ///< automatically to what the strategies need)
-  sim::CostModel cost{};    ///< scheduler cost model
+                            ///< automatically to what blocked needs)
   /// Re-derive every answer with the serial reference and fail the query on
   /// any divergence (the service-path correctness oracle; used by loadgen,
   /// CI and the fuzzer's --service mode).
@@ -88,7 +86,6 @@ class AlignService {
   void shutdown();
 
   ServiceStats stats() const;
-  const Scheduler& scheduler() const noexcept { return scheduler_; }
   int nprocs() const noexcept { return cfg_.nprocs; }
   std::size_t queue_capacity() const noexcept { return queue_.capacity(); }
 
@@ -111,7 +108,6 @@ class AlignService {
 
   ServiceConfig cfg_;
   dsm::Cluster cluster_;
-  Scheduler scheduler_;
   QueryQueue queue_;
 
   mutable std::mutex mu_;  ///< subjects_, stats_, pending_

@@ -45,10 +45,10 @@ struct ServiceStats {
   std::uint64_t failed = 0;      ///< node-program failure or divergence
   std::uint64_t recoveries = 0;  ///< failed jobs the pool absorbed
   // -- residency --------------------------------------------------------
-  // Queries whose strategy reads the resident subject's DSM pages
-  // (wavefront, blocked) only: blocked_mp and exact copy the subject out of
-  // band, and a database's shards are read in place by their owners, so
-  // those are neither warm nor cold.
+  // Blocked queries only, the one strategy that reads the resident
+  // subject's DSM pages: blocked_mp and exact copy the subject out of band,
+  // and a database's shards are read in place by their owners, so those
+  // are neither warm nor cold.
   std::uint64_t warm_queries = 0;  ///< subject cached from an earlier query
   std::uint64_t cold_queries = 0;
   std::uint64_t cache_hits = 0;    ///< summed DSM cache hits of dispatches

@@ -182,7 +182,7 @@ TEST(ValidateReportTest, AcceptsSupportedVersionsOnly) {
   // to_json() auto-attaches every section, so a freshly emitted report is
   // valid at the current schema out of the box.
   Json doc = report.to_json();
-  ASSERT_EQ(doc.at("schema_version").as_int(), 14);
+  ASSERT_EQ(doc.at("schema_version").as_int(), 15);
   EXPECT_EQ(validate_run_report(doc), "");
   for (int v = 1; v <= kSchemaVersion + 1; ++v) {
     if (v == kSchemaVersion) continue;

@@ -38,11 +38,11 @@ core::StrategyResult faulted_blocked_run() {
   return core::blocked_align(pair.s, pair.t, cfg);
 }
 
-TEST(ReportIoTest, SchemaVersionIsBumpedToFourteen) {
-  // v14: cv grants carry the noticed pages homed at the granting manager;
-  // NodeStats and the comm section gained grant_pages.  The tools accept
-  // the current version only (docs/METRICS.md v14).
-  EXPECT_EQ(obs::kSchemaVersion, 14);
+TEST(ReportIoTest, SchemaVersionIsBumpedToFifteen) {
+  // v15: the service runs no wavefront; dispatch_by_strategy lost its
+  // "wavefront" key and residency counts blocked queries only.  The tools
+  // accept the current version only (docs/METRICS.md v15).
+  EXPECT_EQ(obs::kSchemaVersion, 15);
 }
 
 TEST(ReportIoTest, NodeStatsJsonCarriesRetryCounters) {

@@ -13,7 +13,6 @@
 #include "backends.h"
 #include "simd/dispatch.h"
 #include "svc/queue.h"
-#include "svc/scheduler.h"
 #include "svc/service.h"
 #include "svc/stats.h"
 #include "sw/heuristic_scan.h"
@@ -53,164 +52,6 @@ TEST(QueryQueue, BackpressureAndClose) {
   EXPECT_TRUE(q.pop().has_value());
   EXPECT_TRUE(q.pop().has_value());
   EXPECT_FALSE(q.pop().has_value());
-}
-
-// ------------------------------------------------------------ scheduler --
-
-TEST(Scheduler, WavefrontWinsShortProbesBlockedMpWinsColdLongOnes) {
-  const Scheduler sched(sim::CostModel{}, 4, 2, 2);
-  const ScheduleDecision short_probe = sched.choose({8, 4000, false});
-  EXPECT_EQ(short_probe.strategy, StrategyKind::kWavefront);
-  const ScheduleDecision long_cold = sched.choose({2000, 4000, false});
-  EXPECT_EQ(long_cold.strategy, StrategyKind::kBlockedMp);
-  // The chosen estimate is the argmin of the three published ones.
-  for (const auto& d : {short_probe, long_cold}) {
-    EXPECT_LE(d.est_s, d.est_wavefront_s);
-    EXPECT_LE(d.est_s, d.est_blocked_s);
-    EXPECT_LE(d.est_s, d.est_blocked_mp_s);
-  }
-}
-
-TEST(Scheduler, WarmSubjectCheapensDsmStrategiesOnly) {
-  const Scheduler sched(sim::CostModel{}, 4, 2, 2);
-  EXPECT_LT(sched.wavefront_estimate(500, 4000, true),
-            sched.wavefront_estimate(500, 4000, false));
-  EXPECT_LT(sched.blocked_estimate(500, 4000, true),
-            sched.blocked_estimate(500, 4000, false));
-  EXPECT_EQ(sched.blocked_mp_estimate(500, 4000),
-            sched.blocked_mp_estimate(500, 4000));
-}
-
-TEST(Scheduler, ChoiceIsPinnedAcrossShapes) {
-  // The kAuto pick and its estimate over a sweep of shapes, recorded from
-  // the paper-calibrated CostModel with the service's default 2x2 grid
-  // multipliers.  Any change to what choose() prices shows up here.  (No
-  // shape of this sweep picks blocked.)
-  constexpr StrategyKind W = StrategyKind::kWavefront;
-  constexpr StrategyKind M = StrategyKind::kBlockedMp;
-  struct Pick {
-    StrategyKind strategy;
-    double est_s;
-  };
-  struct Row {
-    int nprocs;
-    std::size_t m, n;
-    Pick cold_linear, cold_affine, warm_linear, warm_affine;
-  };
-  static const Row kRows[] = {
-    {2, 8, 1000, {M, 0.01600464}, {M, 0.01684464},
-     {M, 0.01600464}, {M, 0.01684464}},
-    {2, 8, 4000, {W, 0.03158088}, {W, 0.03494088},
-     {W, 0.0304}, {W, 0.03376}},
-    {2, 8, 40000, {W, 0.2412644}, {W, 0.2856164},
-     {W, 0.23536}, {W, 0.279712}},
-    {2, 150, 1000, {M, 0.09055464}, {M, 0.10630464},
-     {M, 0.09055464}, {M, 0.10630464}},
-    {2, 150, 4000, {M, 0.35392464}, {M, 0.41692464},
-     {M, 0.35392464}, {M, 0.41692464}},
-    {2, 150, 40000, {W, 4.4189044}, {W, 5.2505044},
-     {W, 4.413}, {W, 5.2446}},
-    {2, 500, 1000, {M, 0.27430464}, {M, 0.32680464},
-     {M, 0.27430464}, {M, 0.32680464}},
-    {2, 500, 4000, {M, 1.08892464}, {M, 1.29892464},
-     {M, 1.08892464}, {M, 1.29892464}},
-    {2, 500, 40000, {M, 14.22436464}, {M, 16.99636464},
-     {M, 14.22436464}, {M, 16.99636464}},
-    {2, 2000, 1000, {M, 1.06180464}, {M, 1.27180464},
-     {M, 1.06180464}, {M, 1.27180464}},
-    {2, 2000, 4000, {M, 4.23892464}, {M, 5.07892464},
-     {M, 4.23892464}, {M, 5.07892464}},
-    {2, 2000, 40000, {M, 55.80436464}, {M, 66.89236464},
-     {M, 55.80436464}, {M, 66.89236464}},
-    {3, 8, 1000, {M, 0.01618272}, {M, 0.01674272},
-     {M, 0.01618272}, {M, 0.01674272}},
-    {3, 8, 4000, {W, 0.02598088}, {W, 0.02822088},
-     {W, 0.0248}, {W, 0.02704}},
-    {3, 8, 40000, {W, 0.16616352}, {W, 0.19573152},
-     {W, 0.16144}, {W, 0.191008}},
-    {3, 150, 1000, {M, 0.06588272}, {M, 0.07638272},
-     {M, 0.06588272}, {M, 0.07638272}},
-    {3, 150, 4000, {M, 0.25074272}, {M, 0.29274272},
-     {M, 0.25074272}, {M, 0.29274272}},
-    {3, 150, 40000, {W, 3.03172352}, {W, 3.58612352},
-     {W, 3.027}, {W, 3.5814}},
-    {3, 500, 1000, {M, 0.18838272}, {M, 0.22338272},
-     {M, 0.18838272}, {M, 0.22338272}},
-    {3, 500, 4000, {M, 0.74074272}, {M, 0.88074272},
-     {M, 0.74074272}, {M, 0.88074272}},
-    {3, 500, 40000, {M, 9.60906272}, {M, 11.45706272},
-     {M, 9.60906272}, {M, 11.45706272}},
-    {3, 2000, 1000, {M, 0.71338272}, {M, 0.85338272},
-     {M, 0.71338272}, {M, 0.85338272}},
-    {3, 2000, 4000, {M, 2.84074272}, {M, 3.40074272},
-     {M, 2.84074272}, {M, 3.40074272}},
-    {3, 2000, 40000, {M, 37.32906272}, {M, 44.72106272},
-     {M, 37.32906272}, {M, 44.72106272}},
-    {4, 8, 1000, {W, 0.01688088}, {W, 0.01730088},
-     {W, 0.0157}, {W, 0.01612}},
-    {4, 8, 4000, {W, 0.02318088}, {W, 0.02486088},
-     {W, 0.022}, {W, 0.02368}},
-    {4, 8, 40000, {W, 0.12802264}, {W, 0.15019864},
-     {W, 0.12448}, {W, 0.146656}},
-    {4, 150, 1000, {M, 0.05440748}, {M, 0.06228248},
-     {M, 0.05440748}, {M, 0.06228248}},
-    {4, 150, 4000, {M, 0.20013248}, {M, 0.23163248},
-     {M, 0.20013248}, {M, 0.23163248}},
-    {4, 150, 40000, {W, 2.33754264}, {W, 2.75334264},
-     {W, 2.334}, {W, 2.7498}},
-    {4, 500, 1000, {M, 0.14628248}, {M, 0.17253248},
-     {M, 0.14628248}, {M, 0.17253248}},
-    {4, 500, 4000, {M, 0.56763248}, {M, 0.67263248},
-     {M, 0.56763248}, {M, 0.67263248}},
-    {4, 500, 40000, {M, 7.30383248}, {M, 8.68983248},
-     {M, 7.30383248}, {M, 8.68983248}},
-    {4, 2000, 1000, {M, 0.54003248}, {M, 0.64503248},
-     {M, 0.54003248}, {M, 0.64503248}},
-    {4, 2000, 4000, {M, 2.14263248}, {M, 2.56263248},
-     {M, 2.14263248}, {M, 2.56263248}},
-    {4, 2000, 40000, {M, 28.09383248}, {M, 33.63783248},
-     {M, 28.09383248}, {M, 33.63783248}},
-    {8, 8, 1000, {M, 0.01309944}, {M, 0.01330944},
-     {M, 0.01309944}, {M, 0.01330944}},
-    {8, 8, 4000, {W, 0.01898088}, {W, 0.01982088},
-     {W, 0.0178}, {W, 0.01864}},
-    {8, 8, 40000, {W, 0.07140176}, {W, 0.08248976},
-     {W, 0.06904}, {W, 0.080128}},
-    {8, 150, 1000, {M, 0.04110398}, {M, 0.04504148},
-     {M, 0.04110398}, {M, 0.04504148}},
-    {8, 150, 4000, {M, 0.12879816}, {M, 0.14454816},
-     {M, 0.12879816}, {M, 0.14454816}},
-    {8, 150, 40000, {W, 1.29686176}, {W, 1.50476176},
-     {W, 1.2945}, {W, 1.5024}},
-    {8, 500, 1000, {M, 0.08704148}, {M, 0.10016648},
-     {M, 0.08704148}, {M, 0.10016648}},
-    {8, 500, 4000, {M, 0.31254816}, {M, 0.36504816},
-     {M, 0.31254816}, {M, 0.36504816}},
-    {8, 500, 40000, {M, 3.85776816}, {M, 4.55076816},
-     {M, 3.85776816}, {M, 4.55076816}},
-    {8, 2000, 1000, {M, 0.28391648}, {M, 0.33641648},
-     {M, 0.28391648}, {M, 0.33641648}},
-    {8, 2000, 4000, {M, 1.10004816}, {M, 1.31004816},
-     {M, 1.10004816}, {M, 1.31004816}},
-    {8, 2000, 40000, {M, 14.25276816}, {M, 17.02476816},
-     {M, 14.25276816}, {M, 17.02476816}},
-  };
-  for (const Row& r : kRows) {
-    const Scheduler sched(sim::CostModel{}, r.nprocs, 2, 2);
-    const Pick* picks[] = {&r.cold_linear, &r.cold_affine, &r.warm_linear,
-                           &r.warm_affine};
-    for (int k = 0; k < 4; ++k) {
-      const bool warm = k >= 2;
-      const bool affine = (k % 2) == 1;
-      const ScheduleDecision d = sched.choose({r.m, r.n, warm, affine});
-      SCOPED_TRACE("P=" + std::to_string(r.nprocs) + " m=" +
-                   std::to_string(r.m) + " n=" + std::to_string(r.n) +
-                   (warm ? " warm" : " cold") +
-                   (affine ? " affine" : " linear"));
-      EXPECT_EQ(d.strategy, picks[k]->strategy);
-      EXPECT_NEAR(d.est_s, picks[k]->est_s, picks[k]->est_s * 1e-9);
-    }
-  }
 }
 
 // ---------------------------------------------------------------- stats --
@@ -255,9 +96,8 @@ TEST(AlignService, AnswersMatchTheSerialReferencePerStrategy) {
   service.load_subject(subject);
   EXPECT_TRUE(service.has_subject("chr"));
 
-  for (const StrategyKind k : {StrategyKind::kWavefront,
-                               StrategyKind::kBlocked,
-                               StrategyKind::kBlockedMp}) {
+  for (const StrategyKind k :
+       {StrategyKind::kBlocked, StrategyKind::kBlockedMp}) {
     QuerySpec spec;
     spec.subject = "chr";
     spec.query = probe;
@@ -282,6 +122,29 @@ TEST(AlignService, AnswersMatchTheSerialReferencePerStrategy) {
   EXPECT_EQ(out.result.best.end_j, ref_best.end_j);
 }
 
+TEST(AlignService, AutoRunsBlockedMp) {
+  // A kAuto subject query runs blocked_mp whatever its shape, a short
+  // probe on a long subject included.
+  ServiceConfig cfg;
+  cfg.nprocs = 2;
+  cfg.verify = true;
+  AlignService service(cfg);
+  for (const std::size_t n : {4000u, 40000u}) {
+    const std::string name = "chr" + std::to_string(n);
+    const Sequence subject = make_subject(n, 13 + n, name);
+    service.load_subject(subject);
+    const Sequence probe = make_probe(subject, n / 3, 150, 14 + n);
+    QuerySpec spec;
+    spec.subject = name;
+    spec.query = probe;
+    const TicketPtr ticket = service.submit(std::move(spec)).ticket;
+    const QueryOutcome& out = ticket->wait();
+    ASSERT_TRUE(out.ok) << name << ": " << out.error;
+    EXPECT_EQ(out.result.strategy, StrategyKind::kBlockedMp) << name;
+    EXPECT_EQ(out.result.candidates, heuristic_scan(probe, subject)) << name;
+  }
+}
+
 TEST(AlignService, ProcessBackendServesFromTwoWorkers) {
   // The service's worker threads submit to a process-backend cluster: the
   // forked nodes must see each submitter's program intact, whichever
@@ -302,8 +165,7 @@ TEST(AlignService, ProcessBackendServesFromTwoWorkers) {
     QuerySpec spec;
     spec.subject = "chr";
     spec.query = probes.back();
-    spec.strategy =
-        k % 2 == 0 ? StrategyKind::kBlocked : StrategyKind::kWavefront;
+    spec.strategy = k % 2 == 0 ? StrategyKind::kBlocked : StrategyKind::kAuto;
     const auto adm = service.submit(std::move(spec));
     ASSERT_TRUE(adm.admitted());
     tickets.push_back(adm.ticket);

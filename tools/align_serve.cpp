@@ -3,10 +3,11 @@
 //
 // Loads one or more seeded subject genomes into the persistent DSM cluster,
 // submits a batch of seeded probe queries through admission, and prints each
-// outcome plus the service counters.  The default strategy is `auto` (the
-// cost-model scheduler picks per query); `--verify` re-derives every answer
-// with the serial reference.  `--report=<path>` writes a gdsm.run_report v3
-// document with the "service" section (docs/METRICS.md).
+// outcome plus the service counters.  The default strategy is `auto`
+// (blocked_mp for subject queries, db_scan for database ones); `--verify`
+// re-derives every answer with the serial reference.  `--report=<path>`
+// writes a gdsm.run_report v3 document with the "service" section
+// (docs/METRICS.md).
 //
 //   align_serve --subjects=2 --queries=12 --subject-len=4000
 //               --query-len=400 --verify --report=serve.json
@@ -34,7 +35,7 @@ constexpr const char* kUsage =
     "                   [--gap=MODEL] [--gap-open=O] [--gap-extend=E]\n"
     "                   [--deadline-s=D] [--verify] [--report=PATH] [--quiet]\n"
     "                   [--db=FASTA | --db-gen=K] [--min-score=N]\n"
-    "  --strategy  auto | wavefront | blocked | blocked_mp | exact\n"
+    "  --strategy  auto (= blocked_mp) | blocked | blocked_mp | exact\n"
     "  --gap       linear (default) | affine | mixed (alternate per query);\n"
     "              affine charges gap-open O (default -3) once per gap run\n"
     "              plus gap-extend E (default -1) per space\n"
@@ -89,9 +90,10 @@ int main(int argc, char** argv) {
   // Counts and lengths must be positive: zero subjects would divide by zero
   // when a probe picks its subject, a zero-length subject cannot load, and
   // a negative value would wrap to a huge size (a negative --db-gen would
-  // generate sequences until memory runs out).
-  for (const char* key :
-       {"subjects", "queries", "subject-len", "query-len", "db-gen"}) {
+  // generate sequences until memory runs out; a negative --queue-cap would
+  // admit without bound).
+  for (const char* key : {"subjects", "queries", "subject-len", "query-len",
+                          "db-gen", "procs", "workers", "queue-cap"}) {
     if (args.get_int(key, 1) < 1) {
       std::cerr << "align_serve: --" << key << " must be positive\n";
       return 2;

@@ -17,9 +17,10 @@
 #                                 default striped-avx2; docs/KERNELS.md)
 #   5. affine dispatch         -- oracle-verified --gap=affine service run
 #                                 once per backend (docs/ALGORITHMS.md)
-#   6. DSM flake gate          -- the DSM protocol suites, and the
-#                                 strategy and db suites that hand their
-#                                 answers back as node results, repeated
+#   6. DSM flake gate          -- the DSM protocol suites, the strategy
+#                                 and db suites that hand their answers
+#                                 back as node results, and the service
+#                                 suite (multi-worker dispatch), repeated
 #                                 10x pinned to one CPU, on both backends
 #                                 (GDSM_BACKEND=threads|process), so an
 #                                 interleaving-dependent failure shows up
@@ -134,7 +135,7 @@ done
 # The affine (Gotoh) mode rides the same dispatch: run an oracle-verified
 # service batch with --gap=affine pinned to every backend, so each vector
 # path's three-matrix sweep is release-gated against the serial Gotoh
-# reference end-to-end (admission -> scheduler -> kernels -> verify).
+# reference end-to-end (admission -> dispatch -> kernels -> verify).
 for backend in $(build/tools/kernel_info); do
   echo "==> affine dispatch (GDSM_KERNEL=$backend, --gap=affine)"
   GDSM_KERNEL="$backend" build/tools/align_serve --queries=8 --subjects=2 \
@@ -147,7 +148,7 @@ done
 for backend in threads process; do
   echo "==> DSM flake gate (GDSM_BACKEND=$backend, taskset -c 0, x10)"
   for t in dsm_test dsm_stress_test fault_injection_test \
-           cluster_submit_test proc_test strategy_test db_test; do
+           cluster_submit_test proc_test strategy_test db_test svc_test; do
     GDSM_BACKEND="$backend" taskset -c 0 "build/tests/$t" \
       --gtest_repeat=10 --gtest_brief=1
   done

@@ -39,7 +39,7 @@ constexpr const char* kUsage =
     "  --faults           fault-plan spec, e.g. \"drop=0.2,retries=3\" or "
     "\"none\"\n"
     "  --service          run each case through the alignment service\n"
-    "                     (admission + scheduler + persistent cluster)\n"
+    "                     (admission + dispatch + persistent cluster)\n"
     "                     instead of calling the strategies directly\n"
     "  --db               fuzz the database scan instead: db_query vs the\n"
     "                     serial all-pairs oracle (--db-seqs, --queries,\n"
@@ -81,7 +81,7 @@ Json case_row(const gdsm::testing::OracleCase& c,
 }
 
 /// The service-path twin of testing::run_differential: the case's genome
-/// pair is replayed through admission, the scheduler and the persistent
+/// pair is replayed through admission, dispatch and the persistent
 /// cluster (one submit per unmasked strategy, all in flight together so
 /// the service's workers run them concurrently), and every answer is
 /// judged against the serial references.  The fault plan rides on the
@@ -121,7 +121,6 @@ gdsm::testing::OracleVerdict run_service_case(
     const char* name;
   };
   const Probe probes[] = {
-      {gdsm::testing::kWavefront, svc::StrategyKind::kWavefront, "wavefront"},
       {gdsm::testing::kBlocked, svc::StrategyKind::kBlocked, "blocked"},
       {gdsm::testing::kBlockedMp, svc::StrategyKind::kBlockedMp, "blocked_mp"},
       {gdsm::testing::kExactParallel, svc::StrategyKind::kExact, "exact"},

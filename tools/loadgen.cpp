@@ -88,8 +88,10 @@ int main(int argc, char** argv) {
   // Counts and lengths must be positive: zero subjects would divide by zero
   // when a probe picks its subject, a zero-length subject cannot load, and
   // a negative value would wrap to a huge size (a negative --db-gen would
-  // generate sequences until memory runs out).
-  for (const char* key : {"subjects", "subject-len", "query-len", "db-gen"}) {
+  // generate sequences until memory runs out; a negative --queue-cap would
+  // admit without bound).
+  for (const char* key : {"subjects", "subject-len", "query-len", "db-gen",
+                          "procs", "workers", "queue-cap"}) {
     if (args.get_int(key, 1) < 1) {
       std::cerr << "loadgen: --" << key << " must be positive\n";
       return 2;
